@@ -306,9 +306,18 @@ def _cmd_experiment(args) -> tuple[str, dict]:
     }
 
 
+_PIPELINE_DOC = {"m_achieved": int, "parts": [[int]], "roots": [int],
+                 "lift_edges": [(int, int)], "partition": dict,
+                 "reserve_size": int, "budget": dict, "from_witness": bool}
+_TK_DOC = {"branch": [int], "paths": [{"pair": (int, int), "path": [int]}],
+           "side": dict, "host_order": int, "escape": bool}
+
+
 def _cmd_verify(args) -> tuple[str, dict]:
     doc = json.loads(_read(args.json))
     if args.kind == "pipeline":
+        if not io.has_shape(doc, _PIPELINE_DOC) or doc["m_achieved"] != len(doc["parts"]):
+            raise ParseError("malformed pipeline document")
         g = io.expect_plain(io.parse_graph(_read(args.graph)))
         report = extract.PipelineReport(
             m_achieved=doc["m_achieved"],
@@ -323,6 +332,9 @@ def _cmd_verify(args) -> tuple[str, dict]:
         checks = extract.validate_pipeline_report(g, report)
         print(f"verify pipeline: {'ok' if checks['all'] else 'FAILED'}", file=sys.stderr)
         return ("ok" if checks["all"] else "error"), {"checks": checks}
+    cap = doc.get("budget_cap") if isinstance(doc, dict) else None
+    if not io.has_shape(doc, _TK_DOC) or not (cap is None or type(cap) is int):
+        raise ParseError("malformed tk document")
     cg = io.expect_colored(io.parse_graph(_read(args.graph)))
     model = topological.TopologicalModel(
         branch=tuple(doc["branch"]),
@@ -335,7 +347,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
         escape=doc["escape"],
     )
     t = len(model.branch)
-    topological.validate_topological_model(cg, model, t, doc.get("budget_cap"))
+    topological.validate_topological_model(cg, model, t, cap)
     print("verify tk: ok", file=sys.stderr)
     return "ok", {"checks": {"all": True}, "t": t}
 
@@ -344,12 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbminor",
         description="Red/Blue bipartite graph toolkit",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["json"],
-        default="json",
-        help="output format (only json for now)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

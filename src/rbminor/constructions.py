@@ -19,8 +19,9 @@ import mpmath
 
 from .errors import FormulaUndefined
 from .graphs import Bipartition, ColoredGraph, Graph
+from .kernels import has_tk
 from .models import MinorModel
-from .oracles import hadwiger_oracle, tcl_oracle
+from .oracles import _bipartition_sides, hadwiger_oracle, tcl_oracle
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -189,9 +190,7 @@ def gh_max_bipartite_hadwiger(h: Graph) -> tuple[int, Bipartition]:
     best = -1
     best_side: dict[int, int] = {}
     for mask in range(1 << (n - 1)):
-        side = {0: 0}
-        for v in range(1, n):
-            side[v] = (mask >> (v - 1)) & 1
+        side = _bipartition_sides(n, mask)
         edges = [e for e in h.edges if side[e[0]] != side[e[1]]]
         edges += [e for e in non_edges if side[e[0]] == side[e[1]]]
         value = hadwiger_oracle(Graph.from_edges(n, edges))
@@ -315,11 +314,9 @@ def topological_lb_construction(t: int) -> TopologicalLowerBound:
         checked = True
     verdict: bool | None = None
     if t <= 5:
-        from .kernels import has_tk
-
         verdict = True
-        for mask in range(1 << max(order - 1, 0)):
-            side = [0] + [(mask >> (v - 1)) & 1 for v in range(1, order)]
+        for mask in range(1 << (order - 1)):
+            side = _bipartition_sides(order, mask)
             crossing = [e for e in host.edges if side[e[0]] != side[e[1]]]
             sub = Graph.from_edges(order, crossing)
             if has_tk(order, sub.adjacency_masks, t):

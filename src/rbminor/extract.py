@@ -16,6 +16,7 @@ optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil
 from typing import Mapping, Sequence
 
@@ -30,7 +31,7 @@ from .graphs import (
 )
 from .kernels import find_compatible, find_kt_model
 from .models import AuxiliaryGraph, MinorModel, _minimize_with_map, build_auxiliary
-from .rb import RBBipartition, rb_extract_half
+from .rb import RBBipartition, rb_add_vertex, rb_extract_half, rb_patch_path
 
 EXACT_PARTITION_CAP = 12
 
@@ -135,12 +136,6 @@ def _pair_color(colors: Mapping[tuple[int, int], str], a: int, b: int) -> str:
     return colors[edge_key(a, b)]
 
 
-def _keeps(color: str, side_a: int, side_b: int) -> bool:
-    # an edge survives in an RB-bipartite subgraph iff Red edges cross
-    # the partition and Blue edges do not
-    return (color == RED) == (side_a != side_b)
-
-
 def build_projector(
     cg: ColoredGraph,
     partition: RBBipartition,
@@ -150,15 +145,14 @@ def build_projector(
 ) -> tuple[tuple[int, ...], ColoredGraph, RBBipartition]:
     """Give every member a neighbour among freshly placed pool vertices.
 
-    Each pool vertex is put on the side that lets it keep edges to at
-    least half of the still-uncovered members (Red kept when crossing,
-    Blue when not), so at most floor(log2 k) + 1 vertices are consumed.
+    Each pool vertex goes where `rb.rb_add_vertex` puts it, on the side
+    that keeps edges to at least half of the still-uncovered members, so
+    at most floor(log2 k) + 1 vertices are consumed.
     Returns (projector vertices, grown graph, extended partition); raises
     PoolExhausted when the pool runs out first.
     """
-    side = dict(partition.side)
     for u in members:
-        if u not in side:
+        if u not in partition.side:
             raise ValueError(f"member {u} is not placed")
     queue = list(pool)
     remaining = sorted(members)
@@ -170,24 +164,18 @@ def build_projector(
                 f"{len(remaining)} members uncovered and the pool is empty"
             )
         s = queue.pop(0)
-        if s in side:
-            raise ValueError(f"pool vertex {s} is already placed")
-        gain0 = sum(
-            1 for u in remaining if _keeps(_pair_color(pool_colors, s, u), 0, side[u])
+        placed, kept = rb_add_vertex(
+            cur,
+            partition,
+            s,
+            [(u, _pair_color(pool_colors, s, u)) for u in remaining],
         )
-        placed = 0 if 2 * gain0 >= len(remaining) else 1
-        covered = [
-            u
-            for u in remaining
-            if _keeps(_pair_color(pool_colors, s, u), placed, side[u])
-        ]
-        cur = cur.with_colored_edges(
-            [(s, u, _pair_color(pool_colors, s, u)) for u in covered]
-        )
-        side[s] = placed
+        cur = cur.with_colored_edges([(s, u, c) for u, c in kept])
+        partition = partition.extended(s, placed)
         chain.append(s)
+        covered = {u for u, _ in kept}
         remaining = [u for u in remaining if u not in covered]
-    return tuple(chain), cur, RBBipartition(side)
+    return tuple(chain), cur, partition
 
 
 @dataclass(frozen=True)
@@ -228,17 +216,15 @@ def connect_pair(
 ) -> ConnectorPath | RBCliqueWitness:
     """Join placed x and y through at most two pool vertices.
 
-    Walking x -> internals -> y, each edge forces the next side (Red
-    flips, Blue keeps), and the path is usable iff the forced side at y
-    matches where y already sits.  If no one- or two-internal path works,
-    the pool splits by its colour towards x into classes where every
-    failed case forces intra-class Blue and cross-class Red; that makes
-    the pool a complete RB-bipartite graph, returned as a witness.
+    The path is the first one `rb.rb_patch_path` accepts under the side
+    rule.  When none exists that lemma makes the pool a complete
+    RB-bipartite graph, returned as a witness split by colour towards x
+    (Red on side 0).
 
     parity must name the x-to-y Red parity implied by their sides:
     "even" when equal, "odd" when not.
     """
-    side = dict(partition.side)
+    side = partition.side
     if x == y:
         raise ValueError("endpoints must differ")
     if x not in side or y not in side:
@@ -255,42 +241,19 @@ def connect_pair(
         if w in side:
             raise ValueError(f"pool vertex {w} is already placed")
 
-    def forced(prev_side: int, color: str) -> int:
-        return prev_side ^ (1 if color == RED else 0)
-
-    def finish(path: tuple[int, ...]) -> ConnectorPath:
-        new_side = dict(side)
-        cur = side[x]
-        edges = []
-        for a, b in zip(path, path[1:]):
-            color = _pair_color(pool_colors, a, b)
-            cur = forced(cur, color)
-            if b != y:
-                new_side[b] = cur
-            edges.append((a, b, color))
-        if cur != side[y]:
-            raise AssertionError("internal parity error in connector")
-        return ConnectorPath(
-            path, cg.with_colored_edges(edges), RBBipartition(new_side)
+    color = partial(_pair_color, pool_colors)
+    found = rb_patch_path(x, y, side[x], side[y], order, color)
+    if found is None:
+        return RBCliqueWitness(
+            order, {w: 0 if color(w, x) == RED else 1 for w in order}
         )
-
-    sx = side[x]
-    for w in order:
-        s1 = forced(sx, _pair_color(pool_colors, x, w))
-        if forced(s1, _pair_color(pool_colors, w, y)) == side[y]:
-            return finish((x, w, y))
-    for v in order:
-        sv = forced(sx, _pair_color(pool_colors, x, v))
-        for w in order:
-            if w == v:
-                continue
-            sw = forced(sv, _pair_color(pool_colors, v, w))
-            if forced(sw, _pair_color(pool_colors, w, y)) == side[y]:
-                return finish((x, v, w, y))
-    witness_side = {
-        w: 0 if _pair_color(pool_colors, w, x) == RED else 1 for w in order
-    }
-    return RBCliqueWitness(order, witness_side)
+    path, forced = found
+    new_side = dict(side)
+    new_side.update(zip(path[1:-1], forced))
+    edges = [(a, b, color(a, b)) for a, b in zip(path, path[1:])]
+    return ConnectorPath(
+        path, cg.with_colored_edges(edges), RBBipartition(new_side)
+    )
 
 
 @dataclass(frozen=True)
@@ -598,7 +561,8 @@ def validate_pipeline_report(g: Graph, report: PipelineReport) -> dict[str, bool
         seen |= set(part)
     checks["parts_disjoint_nonempty"] = ok
     checks["parts_connected"] = all(
-        g.is_connected_subset(p) for p in report.parts
+        all(0 <= v < g.vertex_count for v in p) and g.is_connected_subset(p)
+        for p in report.parts
     )
     checks["pairs_joined"] = all(
         any(g.has_edge(u, v) for u in report.parts[i] for v in report.parts[j])

@@ -195,8 +195,25 @@ def side_json(side: dict[int, int]) -> dict[str, str]:
 def side_from_json(obj: Any) -> dict[int, int]:
     try:
         return {int(v): {"X": 0, "Y": 1}[s] for v, s in obj.items()}
-    except (AttributeError, KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad side map: {exc}") from None
+
+
+def has_shape(value: Any, shape: Any) -> bool:
+    """Whether decoded JSON matches a shape: a type (exact, so True is no
+    int), [s] for a list of items of shape s, a tuple of shapes for a list
+    of that length, or {key: shape} for an object with at least those keys."""
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(
+            k in value and has_shape(value[k], sub) for k, sub in shape.items()
+        )
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(has_shape(v, shape[0]) for v in value)
+    if isinstance(shape, tuple):
+        return isinstance(value, list) and len(value) == len(shape) and all(
+            map(has_shape, value, shape)
+        )
+    return type(value) is shape
 
 
 def bipartition_json(p: Bipartition) -> dict[str, Any]:

@@ -12,9 +12,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import ceil
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import RED, Bipartition, ColoredGraph, edge_key
+
+
+def keeps(color: str, side_u: int, side_v: int) -> bool:
+    """The side rule: an edge survives in an RB-bipartite subgraph iff it
+    is Red and crosses the sides, or Blue and stays within one."""
+    return (color == RED) == (side_u != side_v)
 
 
 @dataclass(frozen=True, eq=True)
@@ -28,11 +34,10 @@ class RBBipartition(Bipartition):
 
     def is_valid_on_edges(self, cg: ColoredGraph) -> bool:
         """Edge conditions only; the domain may exceed or subset the graph."""
-        for u, v in cg.graph.edges:
+        for u, v, color in cg.colored_edges():
             if u not in self.side or v not in self.side:
                 return False
-            crossing = self.side[u] != self.side[v]
-            if crossing != ((u, v) in cg.red):
+            if not keeps(color, self.side[u], self.side[v]):
                 return False
         return True
 
@@ -180,13 +185,11 @@ def rb_extract_half(
             else:
                 gain_y += sign
         side[w] = 0 if gain_x >= gain_y else 1
-    kept = []
-    for u, v, c in cg.colored_edges():
-        if u not in side or v not in side:
-            continue
-        crossing = side[u] != side[v]
-        if crossing == (c == RED):
-            kept.append((u, v, c))
+    kept = [
+        (u, v, c)
+        for u, v, c in cg.colored_edges()
+        if u in side and v in side and keeps(c, side[u], side[v])
+    ]
     sub = ColoredGraph.from_edge_colors(cg.graph.vertex_count, kept)
     return sub, RBBipartition(side)
 
@@ -238,9 +241,44 @@ def rb_add_vertex(
     for u, color in incident:
         if u not in partition.side:
             raise ValueError(f"neighbour {u} not placed")
-        opposite = 1 - partition.side[u]
-        # Red wants w opposite u, Blue wants w alongside u
-        want = opposite if color == RED else partition.side[u]
-        (keep_x if want == 0 else keep_y).append((u, color))
+        keep = keep_x if keeps(color, 0, partition.side[u]) else keep_y
+        keep.append((u, color))
     side = 0 if len(keep_x) >= len(keep_y) else 1
     return side, (keep_x if side == 0 else keep_y)
+
+
+def rb_patch_path(
+    x: int,
+    y: int,
+    side_x: int,
+    side_y: int,
+    pool: Sequence[int],
+    color: Callable[[int, int], str],
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """First x-to-y path through one, then two, pool vertices that keeps
+    every edge under the side rule.
+
+    Walking the path, each edge forces the next side (Red flips, Blue
+    keeps); a path is accepted iff its forced side at y is side_y, which
+    covers R-odd and R-even targets alike.  Single internals come first,
+    then ordered pairs, in increasing pool order.  Returns the path and
+    the sides it forces on its internals.
+
+    None means no such path exists: then each pool edge u-v is Red iff u
+    and v differ in their colour towards x, so the pool is a complete
+    RB-bipartite graph split by that colour.
+    """
+    order = sorted(pool)
+    for u in order:
+        su = side_x ^ (color(x, u) == RED)
+        if su ^ (color(u, y) == RED) == side_y:
+            return (x, u, y), (su,)
+    for u in order:
+        su = side_x ^ (color(x, u) == RED)
+        for v in order:
+            if v == u:
+                continue
+            sv = su ^ (color(u, v) == RED)
+            if sv ^ (color(v, y) == RED) == side_y:
+                return (x, u, v, y), (su, sv)
+    return None

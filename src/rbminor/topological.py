@@ -5,11 +5,10 @@ Branch vertices arrive one at a time.  A new vertex sits on the side
 where more of its edges to existing branch vertices survive (Red kept
 crossing, Blue kept within), and each surviving edge becomes a direct
 path.  Every missing pair is patched with one or two fresh internal
-vertices found by parity-forcing; when the target parity is R-even the
-search runs with the colours of all new-vertex edges swapped, which turns
-the task back into the R-odd case without touching any other edge.  If no
-patch exists the free vertices form a complete RB-bipartite graph and the
-first t of them give the clique outright.
+vertices by `rb.rb_patch_path`, whose side walk handles the R-odd and
+R-even targets alike.  If no patch exists the free vertices form a
+complete RB-bipartite graph and the first t of them give the clique
+outright.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from math import comb
 from typing import Mapping
 
 from .errors import HostTooSmall
-from .graphs import RED, ColoredGraph, Graph, edge_key
-from .rb import RBBipartition, rb_certify
+from .graphs import RED, ColoredGraph, edge_key
+from .rb import RBBipartition, keeps, rb_add_vertex, rb_certify, rb_patch_path
 
 
 def required_host_order(t: int) -> int:
@@ -62,10 +61,6 @@ class TopologicalModel:
         return tuple(sorted(out))
 
 
-def _color(cg: ColoredGraph, a: int, b: int) -> str:
-    return cg.color_of(a, b)
-
-
 def rb_topological_clique(cg: ColoredGraph, t: int) -> TopologicalModel:
     """Build an RB-bipartite topological K_t in a 2-coloured complete host.
 
@@ -95,37 +90,23 @@ def rb_topological_clique(cg: ColoredGraph, t: int) -> TopologicalModel:
     for _ in range(1, t):
         w = min(free)
         free.discard(w)
-        keep0 = sum(
-            1
-            for v in branch
-            if (_color(cg, w, v) == RED) == (0 != side[v])
+        sw, kept = rb_add_vertex(
+            cg, RBBipartition(side), w, [(v, cg.color_of(w, v)) for v in branch]
         )
-        sw = 0 if 2 * keep0 >= len(branch) else 1
         side[w] = sw
-        missing = []
+        direct = {v for v, _ in kept}
         for v in branch:
-            if (_color(cg, w, v) == RED) == (sw != side[v]):
+            if v in direct:
                 record(w, v, (w, v))
-            else:
-                missing.append(v)
-        for v in missing:
-            # a path between equal sides must use an even number of Red
-            # edges; swapping every colour at w turns that into the R-odd
-            # search and the swap undoes itself once the path is found
-            search = swap_colors_at(cg, w) if sw == side[v] else cg
-            outcome = _odd_patch(search, w, v, sorted(free))
-            if outcome is None:
+                continue
+            found = rb_patch_path(w, v, sw, side[v], free, cg.color_of)
+            if found is None:
                 return _escape_clique(cg, t, sorted(free), n)
-            prev, cur = w, sw
-            for u in outcome[1:-1]:
-                cur ^= 1 if _color(cg, prev, u) == RED else 0
-                side[u] = cur
+            path, forced = found
+            for u, s in zip(path[1:-1], forced):
+                side[u] = s
                 free.discard(u)
-                prev = u
-            cur ^= 1 if _color(cg, prev, v) == RED else 0
-            if cur != side[v]:
-                raise AssertionError("patch parity does not match placement")
-            record(w, v, outcome)
+            record(w, v, path)
         branch.append(w)
     return TopologicalModel(
         tuple(branch), paths, side, n, escape=False
@@ -136,33 +117,6 @@ def swap_colors_at(cg: ColoredGraph, w: int) -> ColoredGraph:
     """Involution that flips the colour of every edge incident to w."""
     at_w = frozenset(e for e in cg.graph.edges if w in e)
     return ColoredGraph(cg.graph, cg.red ^ at_w)
-
-
-def _odd_patch(
-    cg: ColoredGraph, w: int, v: int, pool: list[int]
-) -> tuple[int, ...] | None:
-    """R-odd w-to-v path through one or two fresh vertices, if any.
-
-    Scans single internals, then ordered pairs, both in increasing order.
-    When this returns None every pool vertex is joined to w and v by
-    equal colours, each colour class is internally Blue, and the classes
-    are completely Red-joined, so the pool is a complete RB-bipartite
-    graph; callers can take a clique from it directly.
-    """
-
-    def reds(*pairs: tuple[int, int]) -> int:
-        return sum(1 for a, b in pairs if _color(cg, a, b) == RED)
-
-    for u in pool:
-        if reds((w, u), (u, v)) % 2 == 1:
-            return (w, u, v)
-    for x in pool:
-        for y in pool:
-            if y == x:
-                continue
-            if reds((w, x), (x, y), (y, v)) % 2 == 1:
-                return (w, x, y, v)
-    return None
 
 
 def _escape_clique(
@@ -176,12 +130,12 @@ def _escape_clique(
     anchor = chosen[0]
     side = {anchor: 0}
     for u in chosen[1:]:
-        side[u] = 1 if _color(cg, anchor, u) == RED else 0
+        side[u] = 1 if cg.color_of(anchor, u) == RED else 0
     paths = {}
     for i in range(t):
         for j in range(i + 1, t):
             a, b = chosen[i], chosen[j]
-            if (_color(cg, a, b) == RED) != (side[a] != side[b]):
+            if not keeps(cg.color_of(a, b), side[a], side[b]):
                 raise AssertionError("free pool was not RB-bipartite")
             paths[(a, b)] = (a, b)
     return TopologicalModel(tuple(chosen), paths, side, host_order, escape=True)
@@ -207,7 +161,7 @@ def validate_topological_model(
     seen_internal: set[int] = set()
     edges = []
     for (a, b), path in model.paths.items():
-        if path[0] != a or path[-1] != b or len(path) < 2:
+        if len(path) < 2 or path[0] != a or path[-1] != b:
             raise ValueError(f"path for ({a}, {b}) has wrong endpoints")
         inner = path[1:-1]
         for u in inner:
@@ -220,7 +174,7 @@ def validate_topological_model(
             color = cg.color_of(u, v)
             if model.side[u] is None or model.side[v] is None:
                 raise ValueError("unplaced path vertex")
-            if (color == RED) != (model.side[u] != model.side[v]):
+            if not keeps(color, model.side[u], model.side[v]):
                 raise ValueError(f"edge ({u}, {v}) breaks the side rule")
             edges.append((u, v, color))
     used = len(branch_set | seen_internal)

@@ -165,7 +165,7 @@ def test_tk_bound_values(capsys):
     code, doc = run(capsys, "tk-bound", "--t", "3")
     assert code == 0
     assert doc["payload"]["min_order"] == 4
-    code, doc = run(capsys, "--format", "json", "tk-bound", "--t", "4")
+    code, doc = run(capsys, "tk-bound", "--t", "4")
     assert code == 0
     assert doc["payload"]["min_order"] == 6
     assert doc["payload"]["per_side"] == [10, 7, 6, 7, 10]
@@ -282,6 +282,22 @@ def test_verify_pipeline_roundtrip_and_tamper(work, capsys):
     assert code == 2
     assert doc["payload"]["checks"]["parts_disjoint_nonempty"] is False
 
+    bad = json.loads(report.read_text())
+    bad["parts"][0] = [99]  # not a vertex of the host
+    broken.write_text(rio.dumps(bad))
+    code, doc = run(capsys, "verify", "pipeline", str(broken), "--graph", str(plain))
+    assert code == 2
+    assert doc["payload"]["checks"]["parts_connected"] is False
+
+    broken.write_text(
+        '{"m_achieved": 1, "parts": [[0]], "roots": [0], "lift_edges": [[0]],'
+        ' "partition": {"0": "X"}, "reserve_size": 2, "budget": {},'
+        ' "from_witness": false}\n'
+    )
+    code, doc = run(capsys, "verify", "pipeline", str(broken), "--graph", str(plain))
+    assert code == 2
+    assert doc["payload"]["code"] == "ParseError"
+
 
 def test_verify_tk_roundtrip_and_tamper(work, capsys):
     host = work / "k14.txt"
@@ -302,6 +318,21 @@ def test_verify_tk_roundtrip_and_tamper(work, capsys):
     broken.write_text(rio.dumps(bad))
     code, doc = run(capsys, "verify", "tk", str(broken), "--graph", str(host))
     assert code == 2
+
+    bad = json.loads(report.read_text())
+    bad["paths"][0]["path"] = []
+    broken.write_text(rio.dumps(bad))
+    code, doc = run(capsys, "verify", "tk", str(broken), "--graph", str(host))
+    assert code == 2
+    assert doc["payload"]["code"] == "ValueError"
+
+    broken.write_text(
+        '{"branch": "abc", "paths": 5, "side": {}, "host_order": 35,'
+        ' "escape": false}\n'
+    )
+    code, doc = run(capsys, "verify", "tk", str(broken), "--graph", str(host))
+    assert code == 2
+    assert doc["payload"]["code"] == "ParseError"
 
 
 def test_argparse_rejects_unknown_usage():

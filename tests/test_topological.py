@@ -87,9 +87,8 @@ def test_host_too_small_and_bad_arguments():
 
 def escape_host():
     """Coloring where the third branch vertex cannot patch its missing
-    pair: every one- or two-internal route carries an even number of Red
-    edges after the swap, so the free pool itself is forced to be a
-    complete RB-bipartite graph."""
+    pair: every one- or two-internal route has the wrong Red parity, so
+    the free pool itself is forced to be a complete RB-bipartite graph."""
     a_class = set(range(3, 9))
 
     def color(a, b):
@@ -117,6 +116,9 @@ def test_escape_clique_from_unpatchable_pool():
     assert model.branch == (3, 4, 5)
     assert model.used_vertices() == (3, 4, 5)
     assert all(len(p) == 2 for p in model.paths.values())
+    # the anchor (first free vertex) sits on side 0; the pool is all Blue
+    assert model.side == {3: 0, 4: 0, 5: 0}
+    assert model.paths == {(3, 4): (3, 4), (3, 5): (3, 5), (4, 5): (4, 5)}
     validate_topological_model(cg, model, 3, cap=budget_cap(3))
 
 
