@@ -1,14 +1,15 @@
 """Build hook for the optional compiled kernel module.
 
-The package is pure Python plus one Cython extension holding the hot search
-kernels.  When Cython (or a C compiler) is unavailable, or RBMINOR_PURE is
-set, the extension is skipped and the pure-Python twin in
-rbminor/kernels/pykernels.py serves every call.
+The package is pure Python plus one extension holding the hot search
+kernels.  It is compiled from rbminor/kernels/_ckernels.pyx when Cython is
+installed, and otherwise from the generated _ckernels.c shipped beside it.
+With RBMINOR_PURE set the extension is skipped, and the pure-Python twin
+in rbminor/kernels/pykernels.py serves every call.
 """
 
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
 ext_modules = []
 if not os.environ.get("RBMINOR_PURE"):
@@ -20,6 +21,8 @@ if not os.environ.get("RBMINOR_PURE"):
             language_level=3,
         )
     except ImportError:
-        ext_modules = []
+        ext_modules = [
+            Extension("rbminor.kernels._ckernels", ["src/rbminor/kernels/_ckernels.c"])
+        ]
 
 setup(ext_modules=ext_modules)

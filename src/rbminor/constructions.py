@@ -21,7 +21,13 @@ from .errors import FormulaUndefined
 from .graphs import Bipartition, ColoredGraph, Graph
 from .kernels import has_tk
 from .models import MinorModel
-from .oracles import _bipartition_sides, hadwiger_oracle, tcl_oracle
+from .oracles import (
+    _bipartitions,
+    _crossing_edges,
+    _max_hadwiger_scan,
+    hadwiger_oracle,
+    tcl_oracle,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -187,17 +193,11 @@ def gh_max_bipartite_hadwiger(h: Graph) -> tuple[int, Bipartition]:
         for v in range(u + 1, n)
         if not h.has_edge(u, v)
     ]
-    best = -1
-    best_side: dict[int, int] = {}
-    for mask in range(1 << (n - 1)):
-        side = _bipartition_sides(n, mask)
-        edges = [e for e in h.edges if side[e[0]] != side[e[1]]]
-        edges += [e for e in non_edges if side[e[0]] == side[e[1]]]
-        value = hadwiger_oracle(Graph.from_edges(n, edges))
-        if value > best:
-            best = value
-            best_side = side
-    return best, Bipartition(best_side)
+    return _max_hadwiger_scan(
+        h,
+        lambda side: _crossing_edges(h.edges, side)
+        + [e for e in non_edges if side[e[0]] == side[e[1]]],
+    )
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,8 @@ def topological_lb_construction(t: int) -> TopologicalLowerBound:
     The tcl of a complete graph equals its order (series reduction of any
     further subdivision gives it back); the oracle confirms this for
     hosts small enough to search.  For t <= 5 the absence of a bipartite
-    TK_t is verified exhaustively over all bipartitions.
+    TK_t is verified exhaustively over all bipartitions; as all vertices
+    of the host are twins, only the side sizes 0..order//2 need a search.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
@@ -315,11 +316,9 @@ def topological_lb_construction(t: int) -> TopologicalLowerBound:
     verdict: bool | None = None
     if t <= 5:
         verdict = True
-        for mask in range(1 << (order - 1)):
-            side = _bipartition_sides(order, mask)
-            crossing = [e for e in host.edges if side[e[0]] != side[e[1]]]
-            sub = Graph.from_edges(order, crossing)
-            if has_tk(order, sub.adjacency_masks, t):
+        for side in _bipartitions(host):
+            crossing = Graph.from_edges(order, _crossing_edges(host.edges, side))
+            if has_tk(order, crossing.adjacency_masks, t):
                 verdict = False
                 break
     bound = bipartite_tk_min_order(t)

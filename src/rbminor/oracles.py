@@ -6,16 +6,39 @@ degree-2 vertices suppressed), which never changes the largest clique
 minor once it has at least four vertices; the few smaller cases are read
 off the original graph directly.  Size guards raise InstanceTooLarge
 instead of silently running forever.
+
+The bipartition scans walk the 2^(n-1) bipartitions with vertex 0 pinned
+to side 0 in increasing mask order (bit i moves vertex i+1 to side 1),
+and return the best value with the first bipartition that attains it.
+Two exact reductions shorten the walk without changing that answer:
+
+- Twin classes.  u and v are twins when N(u) - {v} = N(v) - {u}.  This
+  is an equivalence whose classes are cliques or independent sets, and
+  swapping two twins is an automorphism, so a bipartition's value
+  depends only on how many vertices of each class lie on side 1; swapping
+  the two sides changes nothing either.  A mask whose per-class counts,
+  or their mirror (class size - count), an earlier mask already had is
+  skipped: its value equals that earlier mask's, so it is never the first
+  to attain a value.
+- Threshold.  With b the best value so far, a later bipartition matters
+  only if its graph has a K_{b+1} minor.  One with fewer than
+  C(b+1, 2) edges is skipped, and once b is at least 3 the others are
+  searched for t > b only.
+
+`max_rb_bipartite_oracle` has no such reduction; it counts every
+partition in Gray-code order, one vertex flip per step.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import comb
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InstanceTooLarge
-from .graphs import RED, Bipartition, ColoredGraph, Graph
+from .graphs import Bipartition, ColoredGraph, Edge, Graph
 from .kernels import find_kt_model, has_tk
-from .rb import RBBipartition
+from .rb import RBBipartition, keeps
 
 HADWIGER_CORE_CAP = 10
 TCL_CAP = 9
@@ -98,9 +121,16 @@ def _clique_minor_ub(core_n: int, core_m: int) -> int:
     return t
 
 
-def _core_hadwiger(core_n: int, masks: list[int], floor: int) -> int:
+def _core_hadwiger(g: Graph, floor: int, core_cap: int = HADWIGER_CORE_CAP) -> int:
+    """Largest t > max(floor, 3) with a K_t minor in g, or floor if none."""
+    core_n, masks = _series_reduce(g)
+    if core_n > core_cap:
+        raise InstanceTooLarge(
+            f"series-reduced core has {core_n} vertices (cap {core_cap})"
+        )
     core_m = sum(bin(m).count("1") for m in masks) // 2
-    for t in range(min(core_n, _clique_minor_ub(core_n, core_m)), 3, -1):
+    ub = min(core_n, _clique_minor_ub(core_n, core_m))
+    for t in range(ub, max(floor, 3), -1):
         if find_kt_model(core_n, masks, t) is not None:
             return t
     return floor
@@ -112,15 +142,7 @@ def hadwiger_oracle(g: Graph, core_cap: int = HADWIGER_CORE_CAP) -> int:
     The cap applies to the series-reduced core, not the input, so long
     subdivisions of small graphs stay cheap.
     """
-    core_n, masks = _series_reduce(g)
-    if core_n > core_cap:
-        raise InstanceTooLarge(
-            f"series-reduced core has {core_n} vertices (cap {core_cap})"
-        )
-    base = _base_value(g)
-    if core_n == 0:
-        return base
-    return _core_hadwiger(core_n, masks, base)
+    return _core_hadwiger(g, _base_value(g), core_cap)
 
 
 def tcl_oracle(g: Graph, cap: int = TCL_CAP) -> int:
@@ -152,6 +174,69 @@ def _bipartition_sides(n: int, mask: int) -> dict[int, int]:
     return side
 
 
+def _twin_classes(masks: Sequence[int]) -> list[int]:
+    """Twin classes of the graph with these adjacency masks, each as a
+    vertex mask, in order of their smallest vertex."""
+    classes: list[int] = []
+    for v, mv in enumerate(masks):
+        for i, members in enumerate(classes):
+            r = (members & -members).bit_length() - 1  # smallest member
+            if masks[r] & ~(1 << v) == mv & ~(1 << r):
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
+
+
+def _bipartitions(g: Graph) -> Iterator[dict[int, int]]:
+    """Sides of the bipartitions of g in increasing mask order, skipping
+    each one that a twin permutation or a side swap maps to an earlier one
+    (see the module docstring)."""
+    n = g.vertex_count
+    classes = _twin_classes(g.adjacency_masks)
+    sizes = [members.bit_count() for members in classes]
+    seen: set[tuple[int, ...]] = set()
+    for mask in range(1 << (n - 1)):
+        counts = tuple(((mask << 1) & members).bit_count() for members in classes)
+        if counts in seen:
+            continue
+        seen.add(counts)
+        seen.add(tuple(size - c for size, c in zip(sizes, counts)))
+        yield _bipartition_sides(n, mask)
+
+
+def _crossing_edges(edges: Iterable[Edge], side: dict[int, int]) -> list[Edge]:
+    return [e for e in edges if side[e[0]] != side[e[1]]]
+
+
+def _max_hadwiger_scan(
+    g: Graph,
+    subgraph_edges: Callable[[dict[int, int]], list[Edge]],
+    ceiling: int | None = None,
+) -> tuple[int, Bipartition]:
+    """Best Hadwiger number of the graph on g's vertices with edges
+    subgraph_edges(side), over the bipartitions of g, with the first
+    bipartition attaining it; stops once the value reaches ceiling.
+    subgraph_edges must give isomorphic graphs for two sides that a twin
+    permutation of g or a side swap maps to each other."""
+    n = g.vertex_count
+    best = -1
+    best_side: dict[int, int] = {}
+    for side in _bipartitions(g):
+        edges = subgraph_edges(side)
+        if len(edges) < comb(best + 1, 2):
+            continue  # too few edges for a K_{best+1} minor
+        sub = Graph.from_edges(n, edges)
+        value = _core_hadwiger(sub, best) if best >= 3 else hadwiger_oracle(sub)
+        if value > best:
+            best = value
+            best_side = side
+            if best == ceiling:
+                break
+    return best, Bipartition(best_side)
+
+
 def max_bipartite_hadwiger(
     g: Graph, cap: int = BIP_HADWIGER_CAP
 ) -> tuple[int, Bipartition]:
@@ -166,48 +251,42 @@ def max_bipartite_hadwiger(
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
     if n == 0:
         return 0, Bipartition({})
-    ceiling = hadwiger_oracle(g)
-    best = -1
-    best_side: dict[int, int] = {}
-    for mask in range(1 << (n - 1)):
-        side = _bipartition_sides(n, mask)
-        crossing = [e for e in g.edges if side[e[0]] != side[e[1]]]
-        value = hadwiger_oracle(Graph.from_edges(n, crossing))
-        if value > best:
-            best = value
-            best_side = side
-            if best == ceiling:
-                break
-    return best, Bipartition(best_side)
+    return _max_hadwiger_scan(
+        g, lambda side: _crossing_edges(g.edges, side), hadwiger_oracle(g)
+    )
 
 
 def max_rb_bipartite_oracle(
     cg: ColoredGraph, cap: int = 16
 ) -> tuple[int, RBBipartition]:
-    """Most edges kept by any partition (Red kept crossing, Blue within).
+    """Most edges kept by any partition (Red kept crossing, Blue within),
+    with the first partition in mask order that keeps them.
 
-    Brute force over the 2^(n-1) partitions with vertex 0 pinned; used as
-    the reference point for the one-half extraction guarantee.
+    Counts all 2^(n-1) partitions with vertex 0 pinned; used as the
+    reference point for the one-half extraction guarantee.
     """
     n = cg.graph.vertex_count
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
     if n == 0:
         return 0, RBBipartition({})
-    colored = list(cg.colored_edges())
-    best = -1
-    best_side: dict[int, int] = {}
-    for mask in range(1 << (n - 1)):
-        side = _bipartition_sides(n, mask)
-        kept = 0
-        for u, v, color in colored:
-            # rb.keeps inlined: a call per edge slows this loop 25%+ at n = 14
-            if (color == RED) == (side[u] != side[v]):
-                kept += 1
-        if kept > best:
-            best = kept
-            best_side = side
-    return best, RBBipartition(best_side)
+    adj = cg.graph.adjacency_masks
+    red = cg.red_masks
+    kept = sum(keeps(color, 0, 0) for _, _, color in cg.colored_edges())
+    table = [kept] * (1 << (n - 1))  # kept count per mask
+    ones = 0  # vertices on side 1
+    for k in range(1, len(table)):
+        # Gray code: step k moves the vertex of k's lowest set bit across,
+        # which toggles rb.keeps on each of its edges and on no other
+        v = (k & -k).bit_length()
+        cross = adj[v] & (~ones if (ones >> v) & 1 else ones)
+        blue_v = adj[v] & ~red[v]
+        kept_at_v = (red[v] & cross).bit_count() + (blue_v & ~cross).bit_count()
+        kept += adj[v].bit_count() - 2 * kept_at_v
+        ones ^= 1 << v
+        table[ones >> 1] = kept
+    best = max(table)
+    return best, RBBipartition(_bipartition_sides(n, table.index(best)))
 
 
 __all__ = [

@@ -172,9 +172,10 @@ def validate_topological_model(
             if not cg.graph.has_edge(u, v):
                 raise ValueError(f"({u}, {v}) is not a host edge")
             color = cg.color_of(u, v)
-            if model.side[u] is None or model.side[v] is None:
+            side_u, side_v = model.side.get(u), model.side.get(v)
+            if side_u is None or side_v is None:
                 raise ValueError("unplaced path vertex")
-            if not keeps(color, model.side[u], model.side[v]):
+            if not keeps(color, side_u, side_v):
                 raise ValueError(f"edge ({u}, {v}) breaks the side rule")
             edges.append((u, v, color))
     used = len(branch_set | seen_internal)

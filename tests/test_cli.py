@@ -320,6 +320,13 @@ def test_verify_tk_roundtrip_and_tamper(work, capsys):
     assert code == 2
 
     bad = json.loads(report.read_text())
+    del bad["side"][victim]
+    broken.write_text(rio.dumps(bad))
+    code, doc = run(capsys, "verify", "tk", str(broken), "--graph", str(host))
+    assert code == 2
+    assert doc["payload"]["code"] == "ValueError"
+
+    bad = json.loads(report.read_text())
     bad["paths"][0]["path"] = []
     broken.write_text(rio.dumps(bad))
     code, doc = run(capsys, "verify", "tk", str(broken), "--graph", str(host))

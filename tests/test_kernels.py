@@ -1,13 +1,17 @@
 """Kernel-level checks: naive reference implementations on small inputs,
 plus compiled/pure agreement when the extension is present."""
 
+import re
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from rbminor import kernels
 from rbminor.constructions import derive_seed, keyed_uniform
 from rbminor.kernels import pykernels
+
+KERNEL_DIR = Path(__file__).resolve().parents[1] / "src" / "rbminor" / "kernels"
 
 
 def masks_from_pairs(n, pairs):
@@ -240,3 +244,22 @@ def test_backends_agree():
             assert kernels.find_compatible(n, adj, t) == pykernels.find_compatible(
                 n, adj, t
             )
+
+
+def test_shipped_c_quotes_the_current_pyx():
+    """The generated _ckernels.c quotes the .pyx line behind each block of
+    C it emits; a .pyx edit without regenerating the C shows up here."""
+    pyx = (KERNEL_DIR / "_ckernels.pyx").read_text().splitlines()
+    header = re.compile(r'^\s*/\* "rbminor/kernels/_ckernels\.pyx":(\d+)$')
+    marker = re.compile(r"^\s*\* ?(.*?) {13}# <{14}$")
+    quoted = 0
+    lineno = None
+    for line in (KERNEL_DIR / "_ckernels.c").read_text().splitlines():
+        if m := header.match(line):
+            lineno = int(m.group(1))
+        elif m := marker.match(line):
+            assert lineno is not None, f"unattributed quote {line!r}"
+            assert pyx[lineno - 1] == m.group(1), f"_ckernels.pyx:{lineno} drifted"
+            quoted += 1
+            lineno = None
+    assert quoted > 0

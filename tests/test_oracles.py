@@ -12,16 +12,25 @@ running the code under test:
   one leftover vertex.
 """
 
+from itertools import combinations
+
 import pytest
 
+from rbminor.constructions import (
+    gh_max_bipartite_hadwiger,
+    random_coloring,
+    random_graph,
+)
 from rbminor.errors import InstanceTooLarge
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph
 from rbminor.oracles import (
+    _twin_classes,
     hadwiger_oracle,
     max_bipartite_hadwiger,
     max_rb_bipartite_oracle,
     tcl_oracle,
 )
+from rbminor.rb import keeps
 
 
 def petersen():
@@ -134,3 +143,73 @@ def test_max_rb_bipartite_oracle():
         max_rb_bipartite_oracle(
             ColoredGraph.monochromatic(Graph.empty(17), BLUE)
         )
+
+
+def octahedron():
+    return Graph.from_edges(
+        6, [e for e in combinations(range(6), 2) if e not in {(0, 1), (2, 3), (4, 5)}]
+    )
+
+
+def reference_scan(n, value_of):
+    """Plain loop over all 2^(n-1) bipartitions (vertex 0 on side 0, bit i
+    of the mask moving vertex i+1): best value, first side attaining it."""
+    best, best_side = -1, None
+    for mask in range(1 << (n - 1)):
+        side = {0: 0, **{v: (mask >> (v - 1)) & 1 for v in range(1, n)}}
+        value = value_of(side)
+        if value > best:
+            best, best_side = value, side
+    return best, best_side
+
+
+def reference_bipartite_hadwiger(g):
+    n = g.vertex_count
+    return reference_scan(n, lambda side: hadwiger_oracle(Graph.from_edges(
+        n, [(u, v) for u, v in g.edges if side[u] != side[v]])))
+
+
+def reference_gh(h):
+    n = h.vertex_count
+    return reference_scan(n, lambda side: hadwiger_oracle(Graph.from_edges(n, [
+        (u, v) for u, v in combinations(range(n), 2)
+        if h.has_edge(u, v) == (side[u] != side[v])
+    ])))
+
+
+def reference_rb(cg):
+    return reference_scan(cg.graph.vertex_count, lambda side: sum(
+        keeps(color, side[u], side[v]) for u, v, color in cg.colored_edges()))
+
+
+def same_answer(got, want):
+    value, part = got
+    assert (value, list(part.side.items())) == (want[0], list(want[1].items()))
+
+
+def test_twin_classes():
+    assert _twin_classes(Graph.complete(5).adjacency_masks) == [0b11111]
+    assert _twin_classes(complete_bipartite(2, 3).adjacency_masks) == [0b00011, 0b11100]
+    assert _twin_classes(Graph.path(3).adjacency_masks) == [0b101, 0b010]
+    assert _twin_classes(Graph.empty(3).adjacency_masks) == [0b111]
+
+
+def test_bipartite_scans_match_the_plain_loop():
+    hosts = [Graph.complete(n) for n in range(1, 9)]
+    hosts += [complete_bipartite(a, b) for a, b in [(1, 3), (2, 2), (2, 4), (3, 4)]]
+    hosts += [octahedron(), Graph.path(5), Graph.cycle(6)]
+    hosts += [
+        random_graph(n, p, seed)
+        for n in range(4, 9)
+        for p in (0.4, 0.7)
+        for seed in (1, 2)
+    ]
+    for g in hosts:
+        same_answer(max_bipartite_hadwiger(g), reference_bipartite_hadwiger(g))
+        cg = random_coloring(g, 9)
+        same_answer(max_rb_bipartite_oracle(cg), reference_rb(cg))
+    # h with twins: K_{2,3}, the ends of P_3, the octahedron, K_5, empty
+    cores = [complete_bipartite(2, 3), Graph.path(3), octahedron(), Graph.complete(5)]
+    cores += [Graph.empty(4), random_graph(6, 0.5, 3), random_graph(7, 0.3, 4)]
+    for h in cores:
+        same_answer(gh_max_bipartite_hadwiger(h), reference_gh(h))

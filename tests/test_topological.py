@@ -138,6 +138,14 @@ def test_validator_rejects_tampering():
     with pytest.raises(ValueError):
         validate_topological_model(cg, bad_side, 3)
 
+    unplaced = dict(model.side)
+    del unplaced[model.branch[1]]
+    no_side = TopologicalModel(
+        model.branch, model.paths, unplaced, model.host_order, model.escape
+    )
+    with pytest.raises(ValueError, match="unplaced"):
+        validate_topological_model(cg, no_side, 3)
+
     shrunk = dict(model.paths)
     shrunk.pop(sorted(shrunk)[0])
     bad_pairs = TopologicalModel(
