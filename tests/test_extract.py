@@ -1,10 +1,13 @@
 """Compatible partitions, the projector/connector toolkit, and the full
 bipartite-minor pipeline."""
 
+import hashlib
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from rbminor import extract
 from rbminor.constructions import (
     derive_seed,
     gh_model,
@@ -206,3 +209,96 @@ def test_pipeline_report_fields():
     for a, b in report.lift_edges:
         assert a in covered and b in covered
     assert len(report.partition_witness.side) >= len(covered)
+
+
+def report_digest(report):
+    fields = (
+        report.m_achieved,
+        report.parts,
+        report.roots,
+        report.lift_edges,
+        sorted(report.partition_witness.side.items()),
+        report.reserve_size,
+        report.budget_used,
+        report.from_witness,
+    )
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+# (G(h) draw or None for K_18, epsilon, branch that must run,
+#  (m_achieved, budget_used, from_witness), SHA-256 of the whole report)
+REPAIR_CASES = [
+    pytest.param(
+        (7, 0.3, 3), 0.25, "projector",
+        (4, (("projector", 1), ("connector", 0)), False),
+        "ce270b400cc5f2893da7fb2ba9944b381187d21efaeb47cca8a0f6f11d2e1f92",
+        id="projector",
+    ),
+    pytest.param(
+        (9, 0.3, 18), 0.25, "connector",
+        (5, (("projector", 2), ("connector", 1)), False),
+        "c58b07a61ca1fd97040b6789714ac007a9f3aaec37ada0173f3efca82fb84c31",
+        id="connector",
+    ),
+    pytest.param(
+        (7, 0.3, 11), 0.25, "witness",
+        (3, (("projector", 0), ("connector", 0)), False),
+        "1d15c769895adcd4e7edfed4c767d2d206c2835d47c4b0aa236c35d950baf974",
+        id="witness-beaten",
+    ),
+    pytest.param(
+        (9, 0.3, 0), 0.1, "pool_exhausted",
+        (4, (("projector", 0), ("connector", 0)), False),
+        "5c8f1512a2d158c2004ef49ccff6b62674475766198dd8b1a45304ae3fbc4aa3",
+        id="pool-exhausted",
+    ),
+    # K_18 leaves 14 active vertices, above EXACT_PARTITION_CAP, so the
+    # greedy plan runs.  m = 2 is a known shortfall of that plan (K_16 and
+    # K_17 reach 7); the pin records today's output, not a target.
+    pytest.param(
+        None, 0.25, "greedy",
+        (2, (("projector", 2), ("connector", 0)), False),
+        "3dd7b50ffe0c501c7a79d784f18d91ab3c73a2c6d392c65e180bfad93b5e0543",
+        id="greedy",
+    ),
+]
+
+
+@pytest.mark.parametrize("draw, epsilon, branch, pinned, digest", REPAIR_CASES)
+def test_pipeline_repair_paths(monkeypatch, draw, epsilon, branch, pinned, digest):
+    if draw is None:
+        g = Graph.complete(18)
+        model = MinorModel.create(g, [(v,) for v in range(18)])
+    else:
+        g, model = gh_model(random_graph(*draw))
+    seen = Counter()
+    projector = extract.build_projector
+    connector = extract.connect_pair
+    greedy = extract.greedy_compatible_partition
+
+    def counted_projector(*args):
+        seen["projector"] += 1
+        try:
+            return projector(*args)
+        except PoolExhausted:
+            seen["pool_exhausted"] += 1
+            raise
+
+    def counted_connector(*args):
+        res = connector(*args)
+        seen["witness" if isinstance(res, RBCliqueWitness) else "connector"] += 1
+        return res
+
+    def counted_greedy(*args):
+        seen["greedy"] += 1
+        return greedy(*args)
+
+    monkeypatch.setattr(extract, "build_projector", counted_projector)
+    monkeypatch.setattr(extract, "connect_pair", counted_connector)
+    monkeypatch.setattr(extract, "greedy_compatible_partition", counted_greedy)
+    report = bipartite_minor_pipeline(g, model, epsilon)
+    checks = validate_pipeline_report(g, report)
+    assert checks["all"], checks
+    assert seen[branch] > 0, seen
+    assert (report.m_achieved, report.budget_used, report.from_witness) == pinned
+    assert report_digest(report) == digest
