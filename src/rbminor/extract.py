@@ -1,24 +1,36 @@
 """From a clique minor to a bipartite clique minor.
 
-The pipeline minimises the input model, colours the auxiliary graph,
-extracts a large RB-bipartite subgraph of the active part, finds a
-pairwise-joined vertex partition there, and then spends reserved
-auxiliary vertices to restore connectivity: projector vertices give every
-part member a neighbour, connector paths chain the projectors together.
-Everything stays RB-bipartite, so the lifted host subgraph is bipartite.
+`bipartite_minor_pipeline` runs one path from plan to report.  It
+minimises the input model, colours the auxiliary graph, and extracts a
+large RB-bipartite subgraph h1 of the active part.  Then, for part counts
+m from the largest down:
 
-Reserve accounting is adaptive: the planner tries the largest part count
-first and retreats one step whenever the reserve runs dry, so the result
-is always a valid model, just possibly smaller than the connectivity-free
-optimum.
+- plan: pairwise-joined parts of h1, from the exact search
+  (`find_kt_model`, then `find_compatible`) while at most
+  EXACT_PARTITION_CAP vertices are active, and above the cap from the m
+  best-ranked parts of one greedy partition made once per call;
+- repair: reserved auxiliary vertices restore connectivity, projector
+  vertices giving every part member a neighbour and connector paths
+  chaining the projectors together.  A reserve that runs dry retreats to
+  the next smaller m; a connector search that finds the pool to be a
+  complete RB-bipartite graph keeps it as a witness, used when it has
+  at least two vertices and no fewer than the planned count;
+- report: the parts grown by their repair vertices (or the witness
+  vertices as singletons) are lifted to host edges by the lift rule of
+  `models` and relabelled to the host, in one place.
+
+Everything stays RB-bipartite, so the lifted host subgraph is bipartite
+and the result is always a valid model, just possibly smaller than the
+connectivity-free optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from math import ceil
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import BudgetExhausted, InstanceTooLarge, PoolExhausted
 from .graphs import (
@@ -30,7 +42,7 @@ from .graphs import (
     is_bipartite,
 )
 from .kernels import find_compatible, find_kt_model
-from .models import AuxiliaryGraph, MinorModel, _minimize_with_map, build_auxiliary
+from .models import MinorModel, _lift_edges, _minimize_with_map, build_auxiliary
 from .rb import RBBipartition, rb_add_vertex, rb_extract_half, rb_patch_path
 
 EXACT_PARTITION_CAP = 12
@@ -276,67 +288,67 @@ class PipelineReport:
         return dict(self.budget_used)
 
 
-def _plan_partitions(h1: Graph, active_count: int, m: int) -> tuple[tuple[int, ...], ...] | None:
-    masks = [h1.adjacency_masks[v] for v in range(active_count)]
-    found = find_kt_model(active_count, masks, m)
-    if found is None:
-        found = find_compatible(active_count, masks, m)
-    if found is None:
-        return None
-    return tuple(_mask_bits(p) for p in found)
+_Plan = tuple[tuple[int, ...], ...]
 
 
-def _greedy_plan(
-    h1: Graph, active_count: int, m: int
-) -> tuple[tuple[int, ...], ...] | None:
-    sub = Graph.from_edges(
-        active_count, [e for e in h1.edges if e[1] < active_count]
-    )
-    full = greedy_compatible_partition(sub)
-    if full.order < m:
-        return None
+def _planner(h1: Graph, active_count: int) -> Callable[[int], _Plan | None]:
+    """Plan source for part counts m: exact search up to the cap, above it
+    the best-ranked m parts of one greedy partition."""
+    if active_count <= EXACT_PARTITION_CAP:
+        masks = list(h1.adjacency_masks[:active_count])
+
+        def exact(m: int) -> _Plan | None:
+            found = find_kt_model(active_count, masks, m)
+            if found is None:
+                found = find_compatible(active_count, masks, m)
+            return None if found is None else tuple(_mask_bits(p) for p in found)
+
+        return exact
+    full = greedy_compatible_partition(h1)
     ranked = sorted(
         full.parts,
-        key=lambda p: (0 if sub.is_connected_subset(p) else 1, len(p), p[0]),
+        key=lambda p: (0 if h1.is_connected_subset(p) else 1, len(p), p[0]),
     )
-    return tuple(sorted(ranked[:m], key=lambda p: p[0]))
 
+    def greedy(m: int) -> _Plan | None:
+        if full.order < m:
+            return None
+        return tuple(sorted(ranked[:m], key=lambda p: p[0]))
 
-@dataclass
-class _Execution:
-    parts: list[tuple[int, ...]]
-    projector: dict[int, tuple[int, ...]]
-    connector: dict[int, tuple[int, ...]]
-    graph: ColoredGraph
-    side: dict[int, int]
+    return greedy
 
 
 def _execute_plan(
-    plan: tuple[tuple[int, ...], ...],
+    plan: _Plan,
     h1: ColoredGraph,
     start: RBBipartition,
     reserve: Sequence[int],
     pool_colors: Mapping[tuple[int, int], str],
-) -> _Execution | RBCliqueWitness:
+) -> tuple[_Plan, list[tuple[int, int]], tuple[tuple[str, int], ...]] | RBCliqueWitness:
+    """Repair a plan from the reserve: a projector for every part that is
+    not connected in h1, then connector paths chaining each projector.
+
+    Returns (groups, aux_edges, budget): each part grown by its projector
+    and connector vertices, the auxiliary edges to lift, and the spend.
+    A connector search that finds no path returns its pool witness;
+    PoolExhausted propagates from the projectors.
+    """
     cur = h1
     part_state = RBBipartition(dict(start.side))
     pool = list(reserve)
-    projector: dict[int, tuple[int, ...]] = {}
-    for idx, members in enumerate(plan):
-        if len(members) == 1 or h1.graph.is_connected_subset(members):
-            projector[idx] = ()
-            continue
-        chain, cur, part_state = build_projector(
-            cur, part_state, members, pool, pool_colors
-        )
-        del pool[: len(chain)]
-        projector[idx] = chain
-    connector: dict[int, tuple[int, ...]] = {}
-    for idx in range(len(plan)):
+    chains: list[tuple[int, ...]] = []
+    for members in plan:
+        chain: tuple[int, ...] = ()
+        if len(members) > 1 and not h1.graph.is_connected_subset(members):
+            chain, cur, part_state = build_projector(
+                cur, part_state, members, pool, pool_colors
+            )
+            del pool[: len(chain)]
+        chains.append(chain)
+    groups = []
+    for members, xs in zip(plan, chains):
         joints: list[int] = []
-        xs = projector[idx]
-        for j in range(len(xs) - 1):
-            a, b = xs[j], xs[j + 1]
+        for a, b in zip(xs, xs[1:]):
             parity = "even" if part_state.side[a] == part_state.side[b] else "odd"
             res = connect_pair(
                 cur, part_state, a, b, parity, tuple(pool), pool_colors
@@ -345,11 +357,25 @@ def _execute_plan(
                 return res
             for w in res.internals:
                 pool.remove(w)
-                joints.append(w)
-            cur = res.graph
-            part_state = res.partition
-        connector[idx] = tuple(joints)
-    return _Execution(list(plan), projector, connector, cur, dict(part_state.side))
+            joints.extend(res.internals)
+            cur, part_state = res.graph, res.partition
+        groups.append(members + xs + tuple(joints))
+    aux_edges = [
+        e
+        for inside in map(set, groups)
+        for e in cur.graph.edges
+        if e[0] in inside and e[1] in inside
+    ]
+    for p, q in combinations(plan, 2):
+        aux_edges.append(
+            min(edge_key(u, v) for u in p for v in q if h1.graph.has_edge(u, v))
+        )
+    projector = sum(len(c) for c in chains)
+    budget = (
+        ("projector", projector),
+        ("connector", len(reserve) - len(pool) - projector),
+    )
+    return tuple(groups), aux_edges, budget
 
 
 def bipartite_minor_pipeline(
@@ -387,163 +413,59 @@ def bipartite_minor_pipeline(
     }
     h1, start = rb_extract_half(aux.colored.induced_on(active), active)
 
+    plan_for = _planner(h1.graph, active_count)
     best_witness: RBCliqueWitness | None = None
-    outcome: _Execution | None = None
-    m_final = 0
+    outcome = None
     for m in range(active_count, 0, -1):
         if best_witness is not None and best_witness.order >= max(m, 2):
             break
-        if active_count <= EXACT_PARTITION_CAP:
-            plan = _plan_partitions(h1.graph, active_count, m)
-        else:
-            plan = _greedy_plan(h1.graph, active_count, m)
+        plan = plan_for(m)
         if plan is None:
             continue
         try:
             result = _execute_plan(plan, h1, start, reserve, pool_colors)
         except PoolExhausted:
             continue
-        if isinstance(result, RBCliqueWitness):
-            if best_witness is None or result.order > best_witness.order:
-                best_witness = result
-            continue
-        outcome = result
-        m_final = m
-        break
+        if not isinstance(result, RBCliqueWitness):
+            outcome = result
+            break
+        if best_witness is None or result.order > best_witness.order:
+            best_witness = result
 
-    if best_witness is not None and best_witness.order >= max(m_final, 2):
-        return _witness_report(
-            g, model_min, old_of_new, best_witness, reserve_size
+    m_planned = len(outcome[0]) if outcome is not None else 0
+    from_witness = (
+        best_witness is not None and best_witness.order >= max(m_planned, 2)
+    )
+    if from_witness:
+        verts = best_witness.vertices
+        outcome = (
+            tuple((v,) for v in verts),
+            list(combinations(verts, 2)),
+            (("projector", 0), ("connector", 0)),
         )
-    if outcome is None:
+    elif outcome is None:
         raise BudgetExhausted("no part count survived the reserve budget")
-    return _pipeline_report(
-        g, model_min, aux, old_of_new, outcome, h1, reserve_size
-    )
-
-
-def _host_edges_for(
-    model_min: MinorModel,
-    aux_vertices: Sequence[int],
-    aux_edges: Sequence[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    edges: list[tuple[int, int]] = []
-    for i in aux_vertices:
-        part = set(model_min.parts[i])
-        edges.extend(
-            e for e in model_min.host.edges if e[0] in part and e[1] in part
-        )
-    for i, j in aux_edges:
-        edges.append(model_min.cross_edges(i, j)[0])
-    return edges
-
-
-def _relabel(old_of_new: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [edge_key(old_of_new[u], old_of_new[v]) for u, v in edges]
-
-
-def _finish_report(
-    g: Graph,
-    model_min: MinorModel,
-    old_of_new: Sequence[int],
-    groups: Sequence[Sequence[int]],
-    aux_edges: Sequence[tuple[int, int]],
-    reserve_size: int,
-    budget: tuple[tuple[str, int], ...],
-    from_witness: bool,
-) -> PipelineReport:
-    host_edges = _host_edges_for(
-        model_min, [v for grp in groups for v in grp], aux_edges
-    )
-    lift = sorted(set(_relabel(old_of_new, host_edges)))
-    parts = []
-    roots = []
-    for grp in groups:
-        members = sorted(
-            old_of_new[v]
-            for i in grp
-            for v in model_min.parts[i]
-        )
-        parts.append(tuple(members))
-        roots.append(old_of_new[model_min.roots[min(grp)]])
+    groups, aux_edges, budget = outcome
+    used = [i for grp in groups for i in grp]
+    lift = sorted({
+        edge_key(old_of_new[u], old_of_new[v])
+        for u, v in _lift_edges(model_min, used, aux_edges)
+    })
     witness = is_bipartite(Graph.from_edges(g.vertex_count, lift))
-    if isinstance(witness, Bipartition):
-        side_witness = witness
-    else:  # pragma: no cover - construction keeps the lift bipartite
+    if not isinstance(witness, Bipartition):  # pragma: no cover
         raise AssertionError("lift lost bipartiteness")
     return PipelineReport(
-        m_achieved=len(parts),
-        parts=tuple(parts),
-        roots=tuple(roots),
+        m_achieved=len(groups),
+        parts=tuple(
+            tuple(sorted(old_of_new[v] for i in grp for v in model_min.parts[i]))
+            for grp in groups
+        ),
+        roots=tuple(old_of_new[model_min.roots[min(grp)]] for grp in groups),
         lift_edges=tuple(lift),
-        partition_witness=side_witness,
+        partition_witness=witness,
         reserve_size=reserve_size,
         budget_used=budget,
         from_witness=from_witness,
-    )
-
-
-def _witness_report(
-    g: Graph,
-    model_min: MinorModel,
-    old_of_new: Sequence[int],
-    witness: RBCliqueWitness,
-    reserve_size: int,
-) -> PipelineReport:
-    verts = witness.vertices
-    aux_edges = [
-        (verts[i], verts[j])
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-    ]
-    return _finish_report(
-        g,
-        model_min,
-        old_of_new,
-        [(v,) for v in verts],
-        aux_edges,
-        reserve_size,
-        (("projector", 0), ("connector", 0)),
-        True,
-    )
-
-
-def _pipeline_report(
-    g: Graph,
-    model_min: MinorModel,
-    aux: AuxiliaryGraph,
-    old_of_new: Sequence[int],
-    run: _Execution,
-    h1: ColoredGraph,
-    reserve_size: int,
-) -> PipelineReport:
-    groups = []
-    for idx, members in enumerate(run.parts):
-        groups.append(
-            tuple(members) + run.projector[idx] + run.connector[idx]
-        )
-    grown = run.graph
-    aux_edges: list[tuple[int, int]] = []
-    for grp in groups:
-        inside = set(grp)
-        aux_edges.extend(
-            e for e in grown.graph.edges if e[0] in inside and e[1] in inside
-        )
-    for i in range(len(run.parts)):
-        for j in range(i + 1, len(run.parts)):
-            cross = sorted(
-                edge_key(u, v)
-                for u in run.parts[i]
-                for v in run.parts[j]
-                if h1.graph.has_edge(u, v)
-            )
-            aux_edges.append(cross[0])
-    budget = (
-        ("projector", sum(len(p) for p in run.projector.values())),
-        ("connector", sum(len(c) for c in run.connector.values())),
-    )
-    return _finish_report(
-        g, model_min, old_of_new, groups, aux_edges, reserve_size, budget, False
     )
 
 

@@ -102,9 +102,6 @@ class Graph:
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -240,11 +237,6 @@ class ColoredGraph:
 
     def swap_colors(self) -> ColoredGraph:
         return ColoredGraph(self.graph, self.graph.edges - self.red)
-
-
-X_SIDE = 0
-Y_SIDE = 1
-SIDE_NAMES = ("X", "Y")
 
 
 @dataclass(frozen=True, eq=True)

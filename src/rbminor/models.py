@@ -231,26 +231,36 @@ def _cross_edge(model: MinorModel, i: int, j: int) -> tuple[int, int]:
     return edges[0]
 
 
+def _lift_edges(
+    model: MinorModel,
+    parts: Iterable[int],
+    pairs: Iterable[tuple[int, int]],
+) -> list[tuple[int, int]]:
+    """The lift rule: the tree of each listed part plus the one cross edge
+    of each listed part pair, in host labels."""
+    edges: list[tuple[int, int]] = []
+    for i in parts:
+        s = set(model.parts[i])
+        edges.extend(e for e in model.host.edges if e[0] in s and e[1] in s)
+    edges.extend(_cross_edge(model, i, j) for i, j in pairs)
+    return edges
+
+
 def lift_subgraph(
     model: MinorModel, aux: AuxiliaryGraph, sub: Iterable[tuple[int, int]]
 ) -> Graph:
     """Host subgraph: all part trees plus the cross edge of each pair in sub."""
     if aux.order != model.order:
         raise ValueError("auxiliary graph does not match the model")
-    edges: list[tuple[int, int]] = []
-    part_sets = [set(p) for p in model.parts]
-    for s in part_sets:
-        edges.extend(e for e in model.host.edges if e[0] in s and e[1] in s)
-    seen_pairs = set()
+    pairs = set()
     for i, j in sub:
         a, b = min(i, j), max(i, j)
         if not 0 <= a < b < model.order:
             raise ValueError(f"bad part pair ({i}, {j})")
-        if (a, b) in seen_pairs:
-            continue
-        seen_pairs.add((a, b))
-        edges.append(_cross_edge(model, a, b))
-    return Graph.from_edges(model.host.vertex_count, edges)
+        pairs.add((a, b))
+    return Graph.from_edges(
+        model.host.vertex_count, _lift_edges(model, range(model.order), pairs)
+    )
 
 
 def lift_odd_circuit(

@@ -53,13 +53,6 @@ class TopologicalModel:
             used.update(path)
         return tuple(sorted(used))
 
-    def path_edges(self) -> tuple[tuple[int, int], ...]:
-        out = set()
-        for path in self.paths.values():
-            for a, b in zip(path, path[1:]):
-                out.add(edge_key(a, b))
-        return tuple(sorted(out))
-
 
 def rb_topological_clique(cg: ColoredGraph, t: int) -> TopologicalModel:
     """Build an RB-bipartite topological K_t in a 2-coloured complete host.

@@ -50,16 +50,17 @@ def naive_cycles(n, pairs):
     return found
 
 
-def check_model(n, adj, t, parts):
-    assert len(parts) == t
+def is_model(n, adj, t, parts):
+    """t nonzero, disjoint, connected masks, pairwise joined by an edge."""
+    if len(parts) != t:
+        return False
     union = 0
     for p in parts:
-        assert p != 0
-        assert union & p == 0, "parts overlap"
+        if p == 0 or union & p:
+            return False
         union |= p
         # connectivity by mask BFS
-        start = p & -p
-        seen = start
+        seen = p & -p
         while True:
             grow = seen
             for v in range(n):
@@ -68,39 +69,34 @@ def check_model(n, adj, t, parts):
             if grow == seen:
                 break
             seen = grow
-        assert seen == p, "part not connected"
-    for i in range(t):
-        for j in range(i + 1, t):
-            joined = any(
-                (adj[v] & parts[j]) for v in range(n) if (parts[i] >> v) & 1
-            )
-            assert joined, "parts not adjacent"
+        if seen != p:
+            return False
+    return all(
+        any(adj[v] & parts[j] for v in range(n) if (parts[i] >> v) & 1)
+        for i in range(t)
+        for j in range(i + 1, t)
+    )
+
+
+def check_model(n, adj, t, parts):
+    assert is_model(n, adj, t, parts), (n, adj, t, parts)
 
 
 def naive_has_minor(n, adj, t):
-    """Brute force over ordered vertex subsets grouped into t parts."""
+    """Brute force: every vertex goes to one of t parts or to none, and
+    each full assignment is tested."""
     if t == 0:
         return True
     if t > n:
         return False
-    verts = list(range(n))
-
-    def parts_ok(parts):
-        try:
-            check_model(n, adj, len(parts), parts)
-            return True
-        except AssertionError:
-            return False
 
     def assign(idx, parts):
-        if parts_ok([p for p in parts if p]) and sum(1 for p in parts if p) == t:
-            return True
         if idx == n:
-            return False
+            return is_model(n, adj, t, parts)
         for k in range(t):
-            assign_parts = list(parts)
-            assign_parts[k] |= 1 << verts[idx]
-            if assign(idx + 1, assign_parts):
+            grown = list(parts)
+            grown[k] |= 1 << idx
+            if assign(idx + 1, grown):
                 return True
         return assign(idx + 1, parts)
 
