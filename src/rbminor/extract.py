@@ -3,12 +3,15 @@
 `bipartite_minor_pipeline` runs one path from plan to report.  It
 minimises the input model, colours the auxiliary graph, and extracts a
 large RB-bipartite subgraph h1 of the active part.  Then, for part counts
-m from the largest down:
+m from the largest any plan can reach down:
 
 - plan: pairwise-joined parts of h1, from the exact search
   (`find_kt_model`, then `find_compatible`) while at most
   EXACT_PARTITION_CAP vertices are active, and above the cap from the m
-  best-ranked parts of one greedy partition made once per call;
+  best-ranked parts of one greedy partition made once per call.  The
+  exact search starts at the clique bound floor((n + omega(h1)) / 2) on
+  n active vertices, not at n: no compatible partition is larger, so
+  every count above it would cost a failing exhaustive search;
 - repair: reserved auxiliary vertices restore connectivity, projector
   vertices giving every part member a neighbour and connector paths
   chaining the projectors together.  A reserve that runs dry retreats to
@@ -85,18 +88,45 @@ class CompatiblePartition:
 def find_compatible_partition(
     g: Graph, m: int, cap: int = EXACT_PARTITION_CAP
 ) -> CompatiblePartition | None:
-    """Exhaustive search for m pairwise-joined disjoint subsets."""
+    """Exhaustive search for m pairwise-joined disjoint subsets; None at
+    once when m exceeds `_partition_bound`."""
     n = g.vertex_count
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
     if m < 1:
         raise ValueError("m must be positive")
-    if m > n:
+    masks = list(g.adjacency_masks)
+    if m > _partition_bound(masks):
         return None
-    masks = find_compatible(n, list(g.adjacency_masks), m)
-    if masks is None:
+    found = find_compatible(n, masks, m)
+    if found is None:
         return None
-    return CompatiblePartition(tuple(_mask_bits(p) for p in masks))
+    return CompatiblePartition(tuple(_mask_bits(p) for p in found))
+
+
+def _clique_number(masks: Sequence[int]) -> int:
+    """Order of a largest clique of the graph whose vertex v has neighbour
+    mask masks[v], by branch and bound over candidate masks."""
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        while cand and size + cand.bit_count() > best:
+            v = cand.bit_length() - 1
+            cand &= ~(1 << v)
+            grow(size + 1, cand & masks[v])
+
+    grow(0, (1 << len(masks)) - 1)
+    return best
+
+
+def _partition_bound(masks: Sequence[int]) -> int:
+    """Upper bound floor((n + omega) / 2) on the order of any compatible
+    partition of the mask graph on n vertices.  Singleton parts are pairwise
+    adjacent, so there are s <= omega of them, and every other part takes
+    at least two of the other n - s vertices."""
+    return (len(masks) + _clique_number(masks)) // 2
 
 
 def greedy_compatible_partition(g: Graph) -> CompatiblePartition:
@@ -291,9 +321,12 @@ class PipelineReport:
 _Plan = tuple[tuple[int, ...], ...]
 
 
-def _planner(h1: Graph, active_count: int) -> Callable[[int], _Plan | None]:
-    """Plan source for part counts m: exact search up to the cap, above it
-    the best-ranked m parts of one greedy partition."""
+def _planner(
+    h1: Graph, active_count: int
+) -> tuple[int, Callable[[int], _Plan | None]]:
+    """Largest part count any plan can have, and the plan source for part
+    counts m: exact search up to the cap, above it the best-ranked m parts
+    of one greedy partition."""
     if active_count <= EXACT_PARTITION_CAP:
         masks = list(h1.adjacency_masks[:active_count])
 
@@ -303,7 +336,7 @@ def _planner(h1: Graph, active_count: int) -> Callable[[int], _Plan | None]:
                 found = find_compatible(active_count, masks, m)
             return None if found is None else tuple(_mask_bits(p) for p in found)
 
-        return exact
+        return _partition_bound(masks), exact
     full = greedy_compatible_partition(h1)
     ranked = sorted(
         full.parts,
@@ -315,7 +348,7 @@ def _planner(h1: Graph, active_count: int) -> Callable[[int], _Plan | None]:
             return None
         return tuple(sorted(ranked[:m], key=lambda p: p[0]))
 
-    return greedy
+    return full.order, greedy
 
 
 def _execute_plan(
@@ -387,7 +420,9 @@ def bipartite_minor_pipeline(
     vertices (at least 2), extracts an RB-bipartite half of the active
     auxiliary clique, and searches part counts downward: pairwise-joined
     parts first without any reserve spend (connected parts), then with
-    projector and connector repair.  A step that exhausts the reserve
+    projector and connector repair.  The exact search starts at the clique
+    bound floor((n + omega(h1)) / 2) of its n active vertices, not at n,
+    since no larger count has a plan.  A step that exhausts the reserve
     retreats to the next smaller count; a complete RB-bipartite pool
     witness is kept when it beats the planned count.  The report is
     always a valid bipartite minor model in g's own labels.
@@ -413,10 +448,10 @@ def bipartite_minor_pipeline(
     }
     h1, start = rb_extract_half(aux.colored.induced_on(active), active)
 
-    plan_for = _planner(h1.graph, active_count)
+    top, plan_for = _planner(h1.graph, active_count)
     best_witness: RBCliqueWitness | None = None
     outcome = None
-    for m in range(active_count, 0, -1):
+    for m in range(top, 0, -1):
         if best_witness is not None and best_witness.order >= max(m, 2):
             break
         plan = plan_for(m)

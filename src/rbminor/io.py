@@ -4,6 +4,9 @@ Graph files: first significant line "n m", then m edge lines "u v" or
 "u v R" / "u v B" (all edges coloured or none), 0-based vertex ids,
 "#" starts a comment.  Model files append "part i: v v ..." and optional
 "root i: v" lines after the edges.
+
+Every parser refuses a vertex or edge count above MAX_INPUT_SIZE with
+InstanceTooLarge before it builds anything of that size.
 """
 
 from __future__ import annotations
@@ -11,9 +14,19 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError
+from .errors import InstanceTooLarge, ParseError
 from .graphs import BLUE, RED, Bipartition, ColoredGraph, Graph, OddCycle
 from .models import MinorModel
+
+MAX_INPUT_SIZE = 1_000_000
+
+
+def _check_size(vertex_count: int, edge_count: int) -> None:
+    if max(vertex_count, edge_count) > MAX_INPUT_SIZE:
+        raise InstanceTooLarge(
+            f"{vertex_count} vertices and {edge_count} edges"
+            f" (cap {MAX_INPUT_SIZE} each)"
+        )
 
 
 def _significant_lines(text: str) -> list[list[str]]:
@@ -42,6 +55,7 @@ def _parse_header_and_edges(
         raise ParseError(f"header must be 'n m', got {' '.join(header)!r}")
     n = _parse_int(header[0], "vertex count")
     m = _parse_int(header[1], "edge count")
+    _check_size(n, m)
     if len(rows) - 1 < m:
         raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges: list[tuple[int, int]] = []
@@ -169,7 +183,9 @@ def graph_json(g: Graph) -> dict[str, Any]:
 
 def graph_from_json(obj: Any) -> Graph:
     try:
-        return Graph.from_edges(int(obj["vertex_count"]), obj["edges"])
+        n, edges = int(obj["vertex_count"]), obj["edges"]
+        _check_size(n, len(edges))
+        return Graph.from_edges(n, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph object: {exc}") from None
 
@@ -183,7 +199,9 @@ def colored_json(cg: ColoredGraph) -> dict[str, Any]:
 
 def colored_from_json(obj: Any) -> ColoredGraph:
     try:
-        return ColoredGraph.from_edge_colors(int(obj["vertex_count"]), obj["edges"])
+        n, edges = int(obj["vertex_count"]), obj["edges"]
+        _check_size(n, len(edges))
+        return ColoredGraph.from_edge_colors(n, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coloured-graph object: {exc}") from None
 

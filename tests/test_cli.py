@@ -209,6 +209,14 @@ def test_oracle_too_large_exit_3(work, capsys):
     assert doc["payload"]["code"] == "InstanceTooLarge"
 
 
+def test_huge_header_exit_3_before_allocating(work, capsys):
+    f = work / "huge.txt"
+    f.write_text("50000000 1\n0 1 R\n")
+    code, doc = run(capsys, "certify", str(f))
+    assert code == 3
+    assert doc["payload"]["code"] == "InstanceTooLarge"
+
+
 def test_bound_command(capsys):
     code, doc = run(capsys, "bound", "--n", "65536")
     assert code == 0

@@ -26,6 +26,7 @@ from rbminor.extract import (
     validate_pipeline_report,
 )
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
+from rbminor.kernels import find_compatible, find_kt_model
 from rbminor.models import MinorModel
 from rbminor.rb import RBBipartition
 
@@ -51,6 +52,69 @@ def test_find_compatible_partition_exact():
     assert find_compatible_partition(g, 5) is None
     with pytest.raises(InstanceTooLarge):
         find_compatible_partition(Graph.empty(13), 1)
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def brute_clique_number(g):
+    n = g.vertex_count
+    return max(
+        (k for k in range(n + 1) for vs in combinations(range(n), k)
+         if all(g.has_edge(u, v) for u, v in combinations(vs, 2))),
+        default=0,
+    )
+
+
+def test_clique_number_matches_brute_force():
+    graphs = [Graph.empty(0), Graph.empty(1), Graph.empty(7), Graph.complete(12),
+              complete_bipartite(5, 7)]
+    graphs += [
+        random_graph(n, p, derive_seed(61, 10 * n + k))
+        for n in range(2, 13)
+        for k, p in enumerate((0.3, 0.5, 0.8))
+    ]
+    for g in graphs:
+        assert extract._clique_number(g.adjacency_masks) == brute_clique_number(g)
+
+
+def max_compatible_order(g):
+    """Largest m the exhaustive kernel finds; orders are monotone, since
+    merging two parts of a compatible partition leaves one of order m - 1."""
+    masks = list(g.adjacency_masks)
+    m = 0
+    while m < g.vertex_count and find_compatible(g.vertex_count, masks, m + 1):
+        m += 1
+    return m
+
+
+def test_partition_bound_is_an_upper_bound():
+    graphs = [
+        random_graph(2 + seed % 8, (0.3, 0.5, 0.7)[seed % 3], derive_seed(62, seed))
+        for seed in range(100)
+    ]
+    graphs += [complete_bipartite(a, b) for a in range(5) for b in range(a, 10 - a)]
+    for g in graphs:
+        assert extract._partition_bound(g.adjacency_masks) >= max_compatible_order(g)
+    # on K_{a,b} with sides differing by at most one, the split the
+    # extraction leaves on a complete host, a K_bound model meets the bound
+    # (unbalanced sides it overshoots: K_{1,3} has bound 3, maximum 2)
+    for a, b in [(a, b) for a in range(7) for b in (a, a + 1) if 0 < a + b <= 12]:
+        g = complete_bipartite(a, b)
+        bound = extract._partition_bound(g.adjacency_masks)
+        found = find_kt_model(a + b, list(g.adjacency_masks), bound)
+        part = extract.CompatiblePartition(tuple(extract._mask_bits(p) for p in found))
+        assert part.order == bound and part.is_valid_for(g), (a, b)
+
+
+def test_find_compatible_partition_skips_the_kernel_above_the_bound(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel called above the clique bound")
+
+    monkeypatch.setattr(extract, "find_compatible", refuse)
+    assert find_compatible_partition(complete_bipartite(6, 6), 8) is None
+    assert find_compatible_partition(Graph.empty(0), 1) is None
 
 
 def complete_colors(vertices, color):
@@ -169,6 +233,35 @@ def test_pipeline_on_complete_host():
     assert report.reserve_size == 3
     rebuilt = report.model(g)
     rebuilt.validate()
+
+
+def test_pipeline_on_complete_hosts_starts_at_the_clique_bound(monkeypatch):
+    calls = Counter()
+    kt_model, compatible = extract.find_kt_model, extract.find_compatible
+
+    def counted_kt_model(*args):
+        calls["find_kt_model"] += 1
+        return kt_model(*args)
+
+    def counted_compatible(*args):
+        calls["find_compatible"] += 1
+        return compatible(*args)
+
+    monkeypatch.setattr(extract, "find_kt_model", counted_kt_model)
+    monkeypatch.setattr(extract, "find_compatible", counted_compatible)
+    achieved = []
+    for n in range(10, 18):
+        calls.clear()
+        g = Graph.complete(n)
+        report = bipartite_minor_pipeline(
+            g, MinorModel.create(g, [(v,) for v in range(n)]), 0.25
+        )
+        checks = validate_pipeline_report(g, report)
+        assert checks["all"], (n, checks)
+        # the first part count tried is the answer: one K_m model search
+        assert calls == {"find_kt_model": 1}, (n, calls)
+        achieved.append(report.m_achieved)
+    assert achieved == [4, 5, 5, 5, 6, 6, 7, 7]
 
 
 def test_pipeline_on_subdivision_host():

@@ -1,7 +1,7 @@
 import pytest
 
 from rbminor import io
-from rbminor.errors import ParseError
+from rbminor.errors import InstanceTooLarge, ParseError
 from rbminor.graphs import (
     Bipartition,
     ColoredGraph,
@@ -84,6 +84,21 @@ def test_json_graph_roundtrip():
     assert io.colored_from_json(io.colored_json(cg)) == cg
     with pytest.raises(ParseError):
         io.graph_from_json({"edges": []})
+
+
+def test_input_size_cap():
+    big = io.MAX_INPUT_SIZE + 1
+    for text in (f"{big} 1\n0 1\n", f"3 {big}\n0 1\n"):
+        with pytest.raises(InstanceTooLarge):
+            io.parse_graph(text)
+        with pytest.raises(InstanceTooLarge):
+            io.parse_model(text + "part 0: 0\n")
+    with pytest.raises(InstanceTooLarge):
+        io.graph_from_json({"vertex_count": big, "edges": [[0, 1]]})
+    with pytest.raises(InstanceTooLarge):
+        io.colored_from_json({"vertex_count": big, "edges": [[0, 1, "R"]]})
+    at_cap = io.parse_graph(f"{io.MAX_INPUT_SIZE} 1\n0 1\n")
+    assert at_cap.vertex_count == io.MAX_INPUT_SIZE
 
 
 def test_json_side_roundtrip():
