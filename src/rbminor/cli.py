@@ -31,6 +31,10 @@ from .errors import (
 )
 from .graphs import Bipartition, Graph, is_bipartite
 
+# experiment --trials cap: the payload holds one row per trial (about 1 MB
+# at the cap), and a trial at n = 10 takes about 0.7 s on the pure backend
+MAX_TRIALS = 10_000
+
 _USAGE_ERRORS = (ParseError, NotAModel, NotInLift, HostTooSmall, FormulaUndefined, ValueError, KeyError, OSError)
 
 
@@ -196,6 +200,8 @@ def _cmd_tk_build(args) -> tuple[str, dict]:
 
 
 def _cmd_tk_bound(args) -> tuple[str, dict]:
+    if args.t > io.MAX_INPUT_SIZE:
+        raise InstanceTooLarge(f"t = {args.t} exceeds the cap {io.MAX_INPUT_SIZE}")
     bound = constructions.bipartite_tk_min_order(args.t)
     print(f"tk-bound: min order {bound.min_order}", file=sys.stderr)
     return "ok", {
@@ -267,6 +273,8 @@ def _cmd_bound(args) -> tuple[str, dict]:
 
 
 def _cmd_experiment(args) -> tuple[str, dict]:
+    if args.trials > MAX_TRIALS:
+        raise InstanceTooLarge(f"{args.trials} trials exceeds the cap {MAX_TRIALS}")
     result = constructions.theorem_lb_experiment(args.n, args.trials, args.seed)
     rows = [
         {

@@ -100,7 +100,10 @@ class Graph:
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        # u*n + v orders normalised pairs as tuple comparison does, and an
+        # integer key sorts faster than pairs on large graphs
+        n = self.vertex_count
+        return tuple(sorted(self.edges, key=lambda e: e[0] * n + e[1]))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Callable, Sequence
 
-from .graphs import RED, Bipartition, ColoredGraph, edge_key
+from .graphs import RED, Bipartition, ColoredGraph, Edge, Graph
 
 
 def keeps(color: str, side_u: int, side_v: int) -> bool:
@@ -77,66 +77,72 @@ def rb_certify(cg: ColoredGraph) -> RBBipartition | ROddCertificate:
     """Decide RB-bipartiteness with a witness either way.
 
     Parity union-find over the edges in sorted order: a Red edge constrains
-    its endpoints to opposite sides, a Blue edge to the same side.  The
-    first contradictory edge closes an R-odd cycle through the union-find
-    forest.  Deterministic for a given input.
+    its endpoints to opposite sides, a Blue edge to the same side.  Union
+    is by rank; the finds of each edge use path halving (each visited
+    vertex is relinked to its grandparent, its parity summed over the
+    skipped edge), which leaves the same roots and parities as full
+    compression.  The first contradictory edge closes an R-odd cycle
+    through the union-find forest; otherwise a vertex's side is its parity
+    to its root.  Deterministic for a given input.
     """
     n = cg.graph.vertex_count
+    red = cg.red
     parent = list(range(n))
     rank = [0] * n
-    parity = [0] * n  # parity of the path to parent
-
-    def find(x: int) -> tuple[int, int]:
-        start = x
-        p = 0
-        root = x
-        while parent[root] != root:
-            p ^= parity[root]
-            root = parent[root]
-        # path compression, keeping parities consistent
-        while parent[x] != root:
-            nxt = parent[x]
-            nxt_p = parity[x]
-            parent[x] = root
-            parity[x] = p
-            p ^= nxt_p
-            x = nxt
-        return root, 0 if start == root else parity[start]
-
-    forest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in cg.graph.sorted_edges:
-        w = 1 if (u, v) in cg.red else 0
-        ru, pu = find(u)
-        rv, pv = find(v)
+    parity = [0] * n  # parity of the path to parent; 0 at a root
+    tree: list[Edge] = []  # union edges, in the order they joined
+    for e in cg.graph.sorted_edges:
+        u, v = e
+        ru, pu = u, 0
+        while parent[ru] != ru:
+            up = parent[ru]
+            p = parity[ru] ^ parity[up]
+            parent[ru] = parent[up]
+            parity[ru] = p
+            pu ^= p
+            ru = parent[up]
+        rv, pv = v, 0
+        while parent[rv] != rv:
+            up = parent[rv]
+            p = parity[rv] ^ parity[up]
+            parent[rv] = parent[up]
+            parity[rv] = p
+            pv ^= p
+            rv = parent[up]
+        w = e in red
         if ru == rv:
             if pu ^ pv != w:
-                return _odd_walk(cg, forest, u, v)
+                return _odd_walk(cg, tree, u, v)
             continue
         if rank[ru] < rank[rv]:
             ru, rv = rv, ru
-            pu, pv = pv, pu
+        elif rank[ru] == rank[rv]:
+            rank[ru] += 1
         parent[rv] = ru
         parity[rv] = pu ^ pv ^ w
-        if rank[ru] == rank[rv]:
-            rank[ru] += 1
-        forest[u].append((v, w))
-        forest[v].append((u, w))
+        tree.append(e)
     side = {}
     for v in range(n):
-        _, p = find(v)
-        side[v] = p
+        x, px = v, 0
+        while parent[x] != x:
+            px ^= parity[x]
+            x = parent[x]
+        side[v] = px
     return RBBipartition(side)
 
 
-def _odd_walk(
-    cg: ColoredGraph, forest: list[list[tuple[int, int]]], u: int, v: int
-) -> ROddCertificate:
+def _odd_walk(cg: ColoredGraph, tree: list[Edge], u: int, v: int) -> ROddCertificate:
     # BFS through the union-find forest from u to v, then close with (v, u).
+    # The forest is acyclic, so the walk is its one u-v path.
+    forest: dict[int, list[int]] = {}
+    for a, b in tree:
+        forest.setdefault(a, []).append(b)
+        forest.setdefault(b, []).append(a)
     prev: dict[int, int] = {u: u}
     queue = deque([u])
     while queue and v not in prev:
         x = queue.popleft()
-        for y, _ in forest[x]:
+        for y in forest.get(x, ()):
             if y not in prev:
                 prev[y] = x
                 queue.append(y)
@@ -163,34 +169,44 @@ def rb_extract_half(
 
     `order` may be any duplicate-free vertex sequence; a full permutation
     is the classic statement, a subsequence applies it to the induced
-    subgraph.
+    subgraph.  The kept subgraph is built straight from the kept edge
+    sets, with no sort and no re-parse of the edges.
     """
-    seen = set(order)
-    if len(seen) != len(order):
+    n = cg.graph.vertex_count
+    if len(set(order)) != len(order):
         raise ValueError("order contains duplicates")
     for v in order:
-        if not 0 <= v < cg.graph.vertex_count:
+        if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
+    red = cg.red
+    blue = cg.blue
+    red_nbrs: list[list[int]] = [[] for _ in range(n)]
+    blue_nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in red:
+        red_nbrs[u].append(v)
+        red_nbrs[v].append(u)
+    for u, v in blue:
+        blue_nbrs[u].append(v)
+        blue_nbrs[v].append(u)
+    # pos[u] is -1 on side X, +1 on side Y, 0 while unplaced; placing w in
+    # X rather than Y gains sum(pos) over its Red neighbours minus that
+    # over its Blue neighbours
+    pos = [0] * n
+    at = pos.__getitem__
     side: dict[int, int] = {}
     for w in order:
-        gain_x = 0  # signed d-gain if w goes to X
-        gain_y = 0
-        for u in cg.graph.adjacency[w]:
-            if u not in side:
-                continue
-            red = (edge_key(u, w) in cg.red)
-            sign = 1 if red else -1
-            if side[u] == 1:
-                gain_x += sign  # u in Y: placing w in X makes it crossing
-            else:
-                gain_y += sign
-        side[w] = 0 if gain_x >= gain_y else 1
-    kept = [
-        (u, v, c)
-        for u, v, c in cg.colored_edges()
-        if u in side and v in side and keeps(c, side[u], side[v])
-    ]
-    sub = ColoredGraph.from_edge_colors(cg.graph.vertex_count, kept)
+        if sum(map(at, red_nbrs[w])) >= sum(map(at, blue_nbrs[w])):
+            side[w] = 0
+            pos[w] = -1
+        else:
+            side[w] = 1
+            pos[w] = 1
+    # the side rule of `keeps`: Red is kept when it crosses, Blue when both
+    # ends share a side
+    kept_red = [e for e in red if pos[e[0]] * pos[e[1]] < 0]
+    kept = [e for e in blue if pos[e[0]] * pos[e[1]] > 0]
+    kept += kept_red
+    sub = ColoredGraph(Graph(n, frozenset(kept)), frozenset(kept_red))
     return sub, RBBipartition(side)
 
 
@@ -198,23 +214,25 @@ def extraction_stats(
     cg: ColoredGraph, sub: ColoredGraph, partition: RBBipartition
 ) -> dict[str, int]:
     """Kept-edge and signed-crossing tallies for the extractor's contract."""
-    placed = set(partition.side)
-    total = red = blue = 0
-    for u, v in cg.graph.edges:
-        if u in placed and v in placed:
-            total += 1
-            if (u, v) in cg.red:
-                red += 1
-            else:
-                blue += 1
-    d_value = 0
-    for u, v in cg.graph.edges:
-        if u in placed and v in placed and partition.crossing(u, v):
-            d_value += 1 if (u, v) in cg.red else -1
+    side = partition.side
+    red_set = cg.red
+    total = red = d_value = 0
+    for e in cg.graph.edges:
+        su = side.get(e[0])
+        sv = side.get(e[1])
+        if su is None or sv is None:
+            continue
+        total += 1
+        if e in red_set:
+            red += 1
+            if su != sv:
+                d_value += 1
+        elif su != sv:
+            d_value -= 1
     return {
         "total_edges": total,
         "red_edges": red,
-        "blue_edges": blue,
+        "blue_edges": total - red,
         "kept_edges": sub.graph.edge_count,
         "kept_bound": ceil(total / 2),
         "d_value": d_value,

@@ -8,12 +8,13 @@ exit code against the documented mapping: 0 success, 2 bad input,
 import json
 import shutil
 import subprocess
+import time
 from itertools import combinations
 
 import pytest
 
 from rbminor import io as rio
-from rbminor.cli import main
+from rbminor.cli import MAX_TRIALS, main
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
 from rbminor.models import MinorModel
 
@@ -213,6 +214,20 @@ def test_huge_header_exit_3_before_allocating(work, capsys):
     f = work / "huge.txt"
     f.write_text("50000000 1\n0 1 R\n")
     code, doc = run(capsys, "certify", str(f))
+    assert code == 3
+    assert doc["payload"]["code"] == "InstanceTooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ("tk-bound", "--t", "100000000"),
+    ("tk-bound", "--t", str(rio.MAX_INPUT_SIZE + 1)),
+    ("experiment", "--n", "10", "--trials", "1000000000", "--seed", "1"),
+    ("experiment", "--n", "10", "--trials", str(MAX_TRIALS + 1), "--seed", "1"),
+], ids=["tk-bound-1e8", "tk-bound-over-cap", "experiment-1e9", "experiment-over-cap"])
+def test_huge_arguments_exit_3_before_any_work(capsys, argv):
+    started = time.perf_counter()
+    code, doc = run(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
     assert code == 3
     assert doc["payload"]["code"] == "InstanceTooLarge"
 

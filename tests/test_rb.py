@@ -5,6 +5,8 @@ exhaustively against a cycle-parity scan; larger instances are sampled
 through hypothesis.
 """
 
+import random
+from collections import deque
 from itertools import combinations
 from math import ceil
 
@@ -17,12 +19,14 @@ from rbminor.graphs import (
     RED,
     ColoredGraph,
     Graph,
+    edge_key,
     enumerate_cycles,
 )
 from rbminor.rb import (
     RBBipartition,
     ROddCertificate,
     extraction_stats,
+    keeps,
     rb_add_vertex,
     rb_certify,
     rb_extract_half,
@@ -173,3 +177,192 @@ def test_add_vertex_keeps_majority():
         rb_add_vertex(cg, part, 0, [])
     with pytest.raises(ValueError):
         rb_add_vertex(cg, part, 3, [(9, RED)])
+
+
+# Reference versions of the per-edge loops: parity union-find with a find
+# closure and full path compression, the extractor over the adjacency sets
+# with the kept subgraph re-parsed from sorted triples, and the two-pass
+# extraction tallies.  The library's versions must give exactly the same
+# results.
+
+
+def reference_certify(cg):
+    n = cg.graph.vertex_count
+    parent = list(range(n))
+    rank = [0] * n
+    parity = [0] * n
+
+    def find(x):
+        start = x
+        p = 0
+        root = x
+        while parent[root] != root:
+            p ^= parity[root]
+            root = parent[root]
+        while parent[x] != root:
+            nxt = parent[x]
+            nxt_p = parity[x]
+            parent[x] = root
+            parity[x] = p
+            p ^= nxt_p
+            x = nxt
+        return root, 0 if start == root else parity[start]
+
+    forest = [[] for _ in range(n)]
+    for u, v in sorted(cg.graph.edges):
+        w = 1 if (u, v) in cg.red else 0
+        ru, pu = find(u)
+        rv, pv = find(v)
+        if ru == rv:
+            if pu ^ pv != w:
+                prev = {u: u}
+                queue = deque([u])
+                while queue and v not in prev:
+                    x = queue.popleft()
+                    for y, _ in forest[x]:
+                        if y not in prev:
+                            prev[y] = x
+                            queue.append(y)
+                path = [v]
+                while path[-1] != u:
+                    path.append(prev[path[-1]])
+                walk = tuple(reversed(path)) + (u,)
+                reds = sum(1 for a, b in zip(walk, walk[1:]) if cg.is_red(a, b))
+                return ROddCertificate(walk, reds)
+            continue
+        if rank[ru] < rank[rv]:
+            ru, rv = rv, ru
+            pu, pv = pv, pu
+        parent[rv] = ru
+        parity[rv] = pu ^ pv ^ w
+        if rank[ru] == rank[rv]:
+            rank[ru] += 1
+        forest[u].append((v, w))
+        forest[v].append((u, w))
+    return RBBipartition({v: find(v)[1] for v in range(n)})
+
+
+def reference_extract_half(cg, order):
+    side = {}
+    for w in order:
+        gain_x = gain_y = 0
+        for u in cg.graph.adjacency[w]:
+            if u not in side:
+                continue
+            sign = 1 if edge_key(u, w) in cg.red else -1
+            if side[u] == 1:
+                gain_x += sign
+            else:
+                gain_y += sign
+        side[w] = 0 if gain_x >= gain_y else 1
+    kept = [
+        (u, v, c)
+        for u, v, c in cg.colored_edges()
+        if u in side and v in side and keeps(c, side[u], side[v])
+    ]
+    sub = ColoredGraph.from_edge_colors(cg.graph.vertex_count, kept)
+    return sub, RBBipartition(side)
+
+
+def reference_extraction_stats(cg, sub, partition):
+    placed = set(partition.side)
+    total = red = blue = d_value = 0
+    for u, v in cg.graph.edges:
+        if u in placed and v in placed:
+            total += 1
+            if (u, v) in cg.red:
+                red += 1
+            else:
+                blue += 1
+            if partition.crossing(u, v):
+                d_value += 1 if (u, v) in cg.red else -1
+    return {
+        "total_edges": total,
+        "red_edges": red,
+        "blue_edges": blue,
+        "kept_edges": sub.graph.edge_count,
+        "kept_bound": ceil(total / 2),
+        "d_value": d_value,
+    }
+
+
+def _cycle_edges(n, edges):
+    """Sorted edges that close a cycle when edges join in sorted order."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    closing = []
+    for u, v in sorted(edges):
+        a, b = find(u), find(v)
+        if a == b:
+            closing.append((u, v))
+        else:
+            root[a] = b
+    return closing
+
+
+def pinned_cases():
+    """Seeded coloured graphs with the colourings and orders the two
+    loops must agree on: empty graphs, isolated vertices, RB-bipartite
+    colourings, R-odd ones whose first contradiction is the first or the
+    last cycle-closing edge, and fair coins; full, shuffled and partial
+    orders.  One graph in ten has 100 to 300 vertices, where union-find
+    trees grow deep enough for halving and full compression to part."""
+    rng = random.Random(7)
+    for i in range(600):
+        n = rng.randrange(100, 300) if i % 10 == 0 else rng.randrange(0, 30)
+        used = rng.randrange(0, n + 1)  # vertices at or above `used` are isolated
+        pairs = list(combinations(range(used), 2))
+        edges = rng.sample(pairs, rng.randrange(0, min(len(pairs), 3 * used) + 1))
+        planted = [rng.randrange(2) for _ in range(n)]
+        red = {e for e in edges if planted[e[0]] != planted[e[1]]}
+        closing = _cycle_edges(n, edges)
+        kind = i % 4
+        if kind == 1 and closing:
+            red ^= {closing[0]}
+        elif kind == 2 and closing:
+            red ^= {closing[-1]}
+        elif kind == 3:
+            red = {e for e in edges if rng.randrange(2)}
+        cg = ColoredGraph(Graph(n, frozenset(edges)), frozenset(red))
+        full = list(range(n))
+        shuffled = rng.sample(full, n)
+        partial = rng.sample(full, rng.randrange(0, n + 1))
+        yield cg, (full, shuffled, partial)
+
+
+def test_rewritten_loops_match_the_reference():
+    outcomes = set()
+    for cg, orders in pinned_cases():
+        got, want = rb_certify(cg), reference_certify(cg)
+        assert type(got) is type(want)
+        if isinstance(want, RBBipartition):
+            assert list(got.side.items()) == list(want.side.items())
+        else:
+            assert (got.walk, got.red_count) == (want.walk, want.red_count)
+        outcomes.add(type(want).__name__)
+        for order in orders:
+            (sub, part), (ref_sub, ref_part) = (
+                rb_extract_half(cg, order), reference_extract_half(cg, order))
+            assert list(part.side.items()) == list(ref_part.side.items())
+            assert sub.graph.vertex_count == ref_sub.graph.vertex_count
+            assert sub.graph.edges == ref_sub.graph.edges
+            assert sub.red == ref_sub.red
+            assert extraction_stats(cg, sub, part) == reference_extraction_stats(
+                cg, sub, part)
+    assert outcomes == {"RBBipartition", "ROddCertificate"}
+
+
+def test_sorted_edges_matches_sorting_the_pairs():
+    for n in (0, 1, 2):
+        g = Graph.complete(n)
+        assert g.sorted_edges == tuple(sorted(g.edges))
+    rng = random.Random(3)
+    for n in (3, 10, 100, 1000, 10_000):
+        edges = {edge_key(*rng.sample(range(n), 2)) for _ in range(2 * n)}
+        g = Graph(n, frozenset(edges))
+        assert g.sorted_edges == tuple(sorted(edges))
