@@ -41,16 +41,27 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise ValueError("negative vertex count")
-        for u, v in self.edges:
-            _validate_edge(u, v, self.vertex_count)
-            if u > v:
-                raise ValueError(f"edge ({u}, {v}) not normalised")
+        if not all(0 <= u < v < n for u, v in self.edges):
+            for u, v in self.edges:  # words the first offending edge
+                _validate_edge(u, v, n)
+                if u > v:
+                    raise ValueError(f"edge ({u}, {v}) not normalised")
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[Sequence[int]]) -> Graph:
         """Build a graph, normalising pairs and rejecting loops/duplicates."""
+        if not isinstance(pairs, (list, tuple)):
+            pairs = list(pairs)
+        try:
+            edges = frozenset([(u, v) if u < v else (v, u) for u, v in pairs])
+            if len(edges) == len(pairs):
+                return cls(vertex_count, edges)
+        except (TypeError, ValueError):
+            pass
+        # one pair at a time, so the first bad pair in input order names the error
         seen: set[Edge] = set()
         for u, v in pairs:
             _validate_edge(u, v, vertex_count)
@@ -158,16 +169,29 @@ class ColoredGraph:
     def from_edge_colors(
         cls, vertex_count: int, triples: Iterable[Sequence[object]]
     ) -> ColoredGraph:
+        if not isinstance(triples, (list, tuple)):
+            triples = list(triples)
+        try:
+            if {c for _, _, c in triples} <= {RED, BLUE}:
+                pairs = [(u, v) for u, v, _ in triples]
+                # int() is monotone, so this is edge_key(int(u), int(v))
+                red = frozenset([
+                    (int(u), int(v)) if u < v else (int(v), int(u))  # type: ignore
+                    for u, v, c in triples if c == RED
+                ])
+                return cls(Graph.from_edges(vertex_count, pairs), red)
+        except (TypeError, ValueError):
+            pass
+        # one triple at a time, so the first bad triple names the error
         pairs = []
-        red = set()
+        red_seen = set()
         for u, v, color in triples:
             pairs.append((u, v))
             if color == RED:
-                red.add(edge_key(int(u), int(v)))  # type: ignore[arg-type]
+                red_seen.add(edge_key(int(u), int(v)))  # type: ignore[arg-type]
             elif color != BLUE:
                 raise ValueError(f"unknown colour {color!r}")
-        g = Graph.from_edges(vertex_count, pairs)
-        return cls(g, frozenset(red))
+        return cls(Graph.from_edges(vertex_count, pairs), frozenset(red_seen))
 
     @classmethod
     def monochromatic(cls, g: Graph, color: str) -> ColoredGraph:

@@ -7,6 +7,12 @@ Graph files: first significant line "n m", then m edge lines "u v" or
 
 Every parser refuses a vertex or edge count above MAX_INPUT_SIZE with
 InstanceTooLarge before it builds anything of that size.
+
+The edge lines are read column-wise first (_edge_columns): one split of
+all of them, the endpoint columns converted with map(int, ...), the row
+widths and colours checked as sets.  That pass accepts exactly what the
+per-row reader (_edge_rows) accepts; on any anomaly it hands the lines to
+the per-row reader, which words every parse error.
 """
 
 from __future__ import annotations
@@ -29,13 +35,13 @@ def _check_size(vertex_count: int, edge_count: int) -> None:
         )
 
 
-def _significant_lines(text: str) -> list[list[str]]:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    return rows
+def _significant_lines(text: str) -> list[str]:
+    """Non-blank lines with comments cut, each stripped but not yet split."""
+    return [s for s in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if s]
+
+
+def _shown(line: str) -> str:
+    return repr(" ".join(line.split()))
 
 
 def _parse_int(tok: str, what: str) -> int:
@@ -46,23 +52,63 @@ def _parse_int(tok: str, what: str) -> int:
 
 
 def _parse_header_and_edges(
-    rows: list[list[str]],
-) -> tuple[int, list[tuple[int, int]], set[tuple[int, int]], int]:
-    if not rows:
+    lines: list[str],
+) -> tuple[int, list[tuple[int, int]], set[tuple[int, int]], bool, int]:
+    """(n, edges in file order, normalised Red edges, coloured?, lines used)."""
+    if not lines:
         raise ParseError("empty graph file")
-    header = rows[0]
+    header = lines[0].split()
     if len(header) != 2:
         raise ParseError(f"header must be 'n m', got {' '.join(header)!r}")
     n = _parse_int(header[0], "vertex count")
     m = _parse_int(header[1], "edge count")
     _check_size(n, m)
-    if len(rows) - 1 < m:
-        raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}")
+    if m < 0:
+        raise ParseError(f"negative edge count {m}")
+    if len(lines) - 1 < m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
+    body = lines[1 : 1 + m]
+    parsed = _edge_columns(body) or _edge_rows(body)
+    return (n, *parsed, 1 + m)
+
+
+def _edge_columns(
+    body: list[str],
+) -> tuple[list[tuple[int, int]], set[tuple[int, int]], bool] | None:
+    """Read m edge lines column-wise: one split of all lines joined by "#"
+    (which no significant line contains), so line ends become "#" tokens.
+    None on any anomaly, which _edge_rows then words."""
+    if not body:
+        return [], set(), False
+    tokens = " # ".join(body).split()
+    stride, rest = divmod(len(tokens) + 1, len(body))
+    if rest or stride not in (3, 4) or set(tokens[stride - 1 :: stride]) - {"#"}:
+        return None  # some line is not exactly "u v" or exactly "u v c"
+    try:
+        us = list(map(int, tokens[0::stride]))
+        vs = list(map(int, tokens[1::stride]))
+    except ValueError:
+        return None
+    if stride == 3:
+        return list(zip(us, vs)), set(), False
+    colors = tokens[2::4]
+    if set(colors) - {RED, BLUE}:
+        return None
+    red = {
+        (u, v) if u < v else (v, u) for u, v, c in zip(us, vs, colors) if c == RED
+    }
+    return list(zip(us, vs)), red, True
+
+
+def _edge_rows(
+    body: list[str],
+) -> tuple[list[tuple[int, int]], set[tuple[int, int]], bool]:
+    """The per-row reader: words every parse error of the edge lines."""
     edges: list[tuple[int, int]] = []
     red: set[tuple[int, int]] = set()
     colored = 0
-    for idx in range(1, 1 + m):
-        row = rows[idx]
+    for line in body:
+        row = line.split()
         if len(row) == 2:
             u, v = (_parse_int(t, "edge endpoint") for t in row)
         elif len(row) == 3:
@@ -73,30 +119,28 @@ def _parse_header_and_edges(
             if row[2] == RED:
                 red.add((min(u, v), max(u, v)))
         else:
-            raise ParseError(f"bad edge line: {' '.join(row)!r}")
+            raise ParseError(f"bad edge line: {_shown(line)}")
         edges.append((u, v))
-    if colored not in (0, m):
+    if colored not in (0, len(body)):
         raise ParseError("file mixes coloured and uncoloured edges")
-    return n, edges, red, 1 + m
+    return edges, red, colored > 0
+
+
+def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
+    try:
+        return Graph.from_edges(n, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_graph(text: str) -> Graph | ColoredGraph:
     """Parse a graph file, coloured or plain depending on the edge lines."""
-    rows = _significant_lines(text)
-    n, edges, red, consumed = _parse_header_and_edges(rows)
-    if len(rows) != consumed:
-        raise ParseError(f"unexpected trailing line: {' '.join(rows[consumed])!r}")
-    try:
-        g = Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    if _was_colored(rows, consumed):
-        return ColoredGraph(g, frozenset(red))
-    return g
-
-
-def _was_colored(rows: list[list[str]], consumed: int) -> bool:
-    return any(len(row) == 3 for row in rows[1:consumed])
+    lines = _significant_lines(text)
+    n, edges, red, colored, consumed = _parse_header_and_edges(lines)
+    if len(lines) != consumed:
+        raise ParseError(f"unexpected trailing line: {_shown(lines[consumed])}")
+    g = _graph(n, edges)
+    return ColoredGraph(g, frozenset(red)) if colored else g
 
 
 def expect_plain(parsed: Graph | ColoredGraph) -> Graph:
@@ -113,17 +157,15 @@ def expect_colored(parsed: Graph | ColoredGraph) -> ColoredGraph:
 
 def parse_model(text: str) -> MinorModel:
     """Parse a host graph followed by part/root lines."""
-    rows = _significant_lines(text)
-    n, edges, red, consumed = _parse_header_and_edges(rows)
-    if red or _was_colored(rows, consumed):
+    lines = _significant_lines(text)
+    n, edges, _, colored, consumed = _parse_header_and_edges(lines)
+    if colored:
         raise ParseError("model hosts are uncoloured")
-    try:
-        host = Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    host = _graph(n, edges)
     parts: dict[int, tuple[int, ...]] = {}
     roots: dict[int, int] = {}
-    for row in rows[consumed:]:
+    for line in lines[consumed:]:
+        row = line.split()
         if row[0] == "part" and len(row) >= 3 and row[1].endswith(":"):
             idx = _parse_int(row[1][:-1], "part index")
             if idx in parts:
@@ -135,7 +177,7 @@ def parse_model(text: str) -> MinorModel:
                 raise ParseError(f"duplicate root {idx}")
             roots[idx] = _parse_int(row[2], "root vertex")
         else:
-            raise ParseError(f"bad model line: {' '.join(row)!r}")
+            raise ParseError(f"bad model line: {_shown(line)}")
     if not parts:
         raise ParseError("model file has no parts")
     if sorted(parts) != list(range(len(parts))):

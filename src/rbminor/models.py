@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAModel, NotInLift
@@ -21,6 +22,15 @@ from .graphs import BLUE, RED, ColoredGraph, Graph, edge_key
 
 @dataclass(frozen=True)
 class MinorModel:
+    """Disjoint sorted parts of a host graph, one root per part.
+
+    The first check that needs it builds one cross-edge table (_pair_table)
+    in a single pass over host.edges: part pair (i, j) with i <= j -> the
+    host edges between them, the edges inside part i when i == j.
+    validate, cross_edges, the minimised-model check and the lift rule
+    all read it.
+    """
+
     host: Graph
     parts: tuple[tuple[int, ...], ...]
     roots: tuple[int, ...]
@@ -68,27 +78,35 @@ class MinorModel:
                 where[v] = i
         return where
 
+    @cached_property
+    def _pair_table(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """(i, j) with i <= j -> host edges between parts i and j (inside
+        part i when i == j), each list in host.edges order."""
+        where = self.part_of()
+        table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for e in self.host.edges:
+            i = where.get(e[0])
+            j = where.get(e[1])
+            if i is not None and j is not None:
+                table.setdefault((i, j) if i <= j else (j, i), []).append(e)
+        return table
+
     def validate(self) -> None:
         """Connectivity and pairwise adjacency; raises NotAModel."""
         for i, part in enumerate(self.parts):
             if not self.host.is_connected_subset(part):
                 raise NotAModel(f"part {i} is not connected in the host")
-        sets = [set(p) for p in self.parts]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if not _pair_edges(self.host, sets[i], sets[j]):
+        table = self._pair_table
+        for i in range(self.order):
+            for j in range(i + 1, self.order):
+                if (i, j) not in table:
                     raise NotAModel(f"parts {i} and {j} share no edge")
 
     def cross_edges(self, i: int, j: int) -> list[tuple[int, int]]:
-        return _pair_edges(self.host, set(self.parts[i]), set(self.parts[j]))
-
-
-def _pair_edges(host: Graph, a: set[int], b: set[int]) -> list[tuple[int, int]]:
-    found = []
-    for u, v in host.edges:
-        if (u in a and v in b) or (u in b and v in a):
-            found.append((u, v))
-    return sorted(found)
+        k = self.order
+        self.parts[i], self.parts[j]  # IndexError for a part that does not exist
+        i, j = sorted((i % k, j % k))
+        return sorted(self._pair_table.get((i, j), ()))
 
 
 def _part_tree_edges(host: Graph, part: Sequence[int], root: int) -> list[tuple[int, int]]:
@@ -191,21 +209,18 @@ class AuxiliaryGraph:
 
 
 def _check_minimized(model: MinorModel) -> None:
-    part_sets = [set(p) for p in model.parts]
-    covered = set().union(*part_sets) if part_sets else set()
+    covered = set().union(*model.parts)
     if covered != set(range(model.host.vertex_count)):
         raise NotAModel("minimised model must cover every host vertex")
+    table = model._pair_table
     for i, part in enumerate(model.parts):
-        internal = sum(
-            1 for u, v in model.host.edges if u in part_sets[i] and v in part_sets[i]
-        )
-        if internal != len(part) - 1:
+        if len(table.get((i, i), ())) != len(part) - 1:
             raise NotAModel(f"part {i} does not induce a tree")
         if not model.host.is_connected_subset(part):
             raise NotAModel(f"part {i} is not connected")
-    for i in range(len(part_sets)):
-        for j in range(i + 1, len(part_sets)):
-            if len(_pair_edges(model.host, part_sets[i], part_sets[j])) != 1:
+    for i in range(model.order):
+        for j in range(i + 1, model.order):
+            if len(table.get((i, j), ())) != 1:
                 raise NotAModel(f"parts {i}, {j} need exactly one cross edge")
 
 
@@ -238,10 +253,8 @@ def _lift_edges(
 ) -> list[tuple[int, int]]:
     """The lift rule: the tree of each listed part plus the one cross edge
     of each listed part pair, in host labels."""
-    edges: list[tuple[int, int]] = []
-    for i in parts:
-        s = set(model.parts[i])
-        edges.extend(e for e in model.host.edges if e[0] in s and e[1] in s)
+    table = model._pair_table
+    edges = [e for i in parts for e in table.get((i, i), ())]
     edges.extend(_cross_edge(model, i, j) for i, j in pairs)
     return edges
 

@@ -395,3 +395,20 @@ def test_pipeline_repair_paths(monkeypatch, draw, epsilon, branch, pinned, diges
     assert seen[branch] > 0, seen
     assert (report.m_achieved, report.budget_used, report.from_witness) == pinned
     assert report_digest(report) == digest
+
+
+# Reports on K_n above the exact cap.  Every model check runs on the host
+# K_n with singleton parts, where a per-pair scan of the host edges costs
+# O(n^2 * E).  m = 2 is the greedy plan's known shortfall (ROADMAP item 1),
+# pinned as today's output, not as a target.
+@pytest.mark.parametrize("n, digest", [
+    (24, "68b5aecf90c9c6aed2abbec9624932d3b739cdab00d09b79bd5966de03168de1"),
+    (32, "a711dfde2b7d1e5b0614dbed1652516b37bc7c6e23cd00d449b14e175413eac9"),
+    (64, "36d61e350cba33bc6c5a1e0a8b05177829c1dc3161631bbdae92921edf0a72b4"),
+])
+def test_pipeline_reports_on_large_cliques(n, digest):
+    g = Graph.complete(n)
+    report = bipartite_minor_pipeline(g, MinorModel.create(g, [(v,) for v in range(n)]), 0.25)
+    assert validate_pipeline_report(g, report)["all"]
+    assert report.m_achieved == 2
+    assert report_digest(report) == digest

@@ -20,15 +20,43 @@ def test_edge_key_normalises():
     assert edge_key(1, 3) == (1, 3)
 
 
+FROM_EDGES_ERRORS = [
+    (3, [(0, 0)], "loop at vertex 0"),
+    (3, [(0, 3)], "edge (0, 3) out of range for 3 vertices"),
+    (3, [(5, 1)], "edge (5, 1) out of range for 3 vertices"),  # unnormalised
+    (3, [(0, 1), (0, 1)], "duplicate edge (0, 1)"),
+    (3, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    (3, [(0, 1), (1, 0), (2, 2)], "duplicate edge (0, 1)"),  # first in input order
+    (3, [(1, 2), (0, 0), (0, 5)], "loop at vertex 0"),
+    (-1, [], "negative vertex count"),
+    (-1, [(0, 1)], "edge (0, 1) out of range for -1 vertices"),
+    (3, [(0, 1, 2)], "too many values to unpack (expected 2)"),
+]
+
+
 def test_from_edges_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(2, 1)}))  # not normalised
+    for n, pairs, message in FROM_EDGES_ERRORS:
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(n, pairs)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:  # a one-shot iterator words it alike
+            Graph.from_edges(n, iter(pairs))
+        assert str(exc.value) == message
+
+
+def test_graph_constructor_words_the_bad_edge():
+    for edges, message in (
+        ({(2, 1)}, "edge (2, 1) not normalised"),
+        ({(0, 1), (1, 1)}, "loop at vertex 1"),
+        ({(0, 3)}, "edge (0, 3) out of range for 3 vertices"),
+        ({(-1, 2)}, "edge (-1, 2) out of range for 3 vertices"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, frozenset(edges))
+        assert str(exc.value) == message
+    with pytest.raises(TypeError) as exc:
+        Graph.from_edges(3, [None])
+    assert str(exc.value) == "cannot unpack non-iterable NoneType object"
 
 
 def test_constructors():

@@ -219,3 +219,112 @@ def test_lift_equivalence_sampled():
             assert (len(walk) - 1) % 2 == 1
         agreements += 1
     assert agreements == 40
+
+
+# --- the cross-edge table against a per-pair scan ---------------------------
+
+
+def _scan_pair(host, a, b):
+    """Host edges between vertex sets a and b (inside a when a is b), sorted."""
+    return sorted(
+        (u, v) for u, v in host.edges if (u in a and v in b) or (u in b and v in a)
+    )
+
+
+def _scan_validate(model):
+    for i, part in enumerate(model.parts):
+        if not model.host.is_connected_subset(part):
+            raise NotAModel(f"part {i} is not connected in the host")
+    sets = [set(p) for p in model.parts]
+    for i, j in combinations(range(len(sets)), 2):
+        if not _scan_pair(model.host, sets[i], sets[j]):
+            raise NotAModel(f"parts {i} and {j} share no edge")
+
+
+def _scan_check_minimized(model):
+    sets = [set(p) for p in model.parts]
+    if set().union(*sets) != set(range(model.host.vertex_count)):
+        raise NotAModel("minimised model must cover every host vertex")
+    for i, part in enumerate(model.parts):
+        if len(_scan_pair(model.host, sets[i], sets[i])) != len(part) - 1:
+            raise NotAModel(f"part {i} does not induce a tree")
+        if not model.host.is_connected_subset(part):
+            raise NotAModel(f"part {i} is not connected")
+    for i, j in combinations(range(len(sets)), 2):
+        if len(_scan_pair(model.host, sets[i], sets[j])) != 1:
+            raise NotAModel(f"parts {i}, {j} need exactly one cross edge")
+
+
+def _scan_lift_edges(model, parts, pairs):
+    edges = []
+    for i in parts:
+        s = set(model.parts[i])
+        edges.extend(e for e in model.host.edges if e[0] in s and e[1] in s)
+    for i, j in pairs:
+        found = _scan_pair(model.host, set(model.parts[i]), set(model.parts[j]))
+        if len(found) != 1:
+            raise NotAModel(f"parts {i}, {j} need exactly one cross edge")
+        edges.append(found[0])
+    return edges
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except NotAModel as exc:
+        return NotAModel, str(exc)
+
+
+def _seeded_models(count):
+    """Random hosts with random disjoint parts that leave vertices uncovered
+    (connected or not), plus the minimised forms of the valid ones."""
+    for seed in range(count):
+        n = 5 + seed % 10
+        host = random_graph(n, (0.3, 0.5, 0.8)[seed % 3], derive_seed(8100, seed))
+        owner = [
+            int(keyed_uniform(derive_seed(8200, seed), v) * (2 + seed % 5)) - 1
+            for v in range(n)
+        ]  # -1 leaves the vertex outside every part
+        parts = [[v for v in range(n) if owner[v] == i] for i in range(max(owner) + 1)]
+        parts = [p for p in parts if p]
+        if not parts:
+            continue
+        model = MinorModel.create(host, parts)
+        yield model
+        try:
+            model.validate()
+        except NotAModel:
+            continue
+        yield minimize_model(host, model)[1]
+
+
+def test_pair_table_matches_a_per_pair_scan():
+    from rbminor.models import _check_minimized, _lift_edges
+
+    seen = {"valid": 0, "minimised": 0, "uncovered": 0}
+    for model in _seeded_models(300):
+        k = model.order
+        sets = [set(p) for p in model.parts]
+        for i in range(k):
+            for j in range(k):
+                assert model.cross_edges(i, j) == _scan_pair(model.host, sets[i], sets[j])
+        assert model.cross_edges(-1, 0) == model.cross_edges(k - 1, 0)
+        valid = _outcome(model.validate)
+        assert valid == _outcome(_scan_validate, model)
+        minimised = _outcome(_check_minimized, model)
+        assert minimised == _outcome(_scan_check_minimized, model)
+        all_pairs = list(combinations(range(k), 2))
+        for parts, pairs in (
+            (range(k), all_pairs),
+            (range(k - 1, -1, -1), all_pairs[::2]),
+            ([0], []),
+        ):
+            assert _outcome(_lift_edges, model, parts, pairs) == _outcome(
+                _scan_lift_edges, model, parts, pairs
+            )
+        seen["valid"] += valid[0] == "ok"
+        seen["minimised"] += minimised[0] == "ok"
+        seen["uncovered"] += set().union(*sets) != set(range(model.host.vertex_count))
+    assert min(seen.values()) >= 30, seen
+    with pytest.raises(IndexError):
+        cycle_model().cross_edges(0, 3)
