@@ -169,29 +169,16 @@ class ColoredGraph:
     def from_edge_colors(
         cls, vertex_count: int, triples: Iterable[Sequence[object]]
     ) -> ColoredGraph:
-        if not isinstance(triples, (list, tuple)):
-            triples = list(triples)
-        try:
-            if {c for _, _, c in triples} <= {RED, BLUE}:
-                pairs = [(u, v) for u, v, _ in triples]
-                # int() is monotone, so this is edge_key(int(u), int(v))
-                red = frozenset([
-                    (int(u), int(v)) if u < v else (int(v), int(u))  # type: ignore
-                    for u, v, c in triples if c == RED
-                ])
-                return cls(Graph.from_edges(vertex_count, pairs), red)
-        except (TypeError, ValueError):
-            pass
-        # one triple at a time, so the first bad triple names the error
         pairs = []
-        red_seen = set()
+        red = set()
         for u, v, color in triples:
             pairs.append((u, v))
             if color == RED:
-                red_seen.add(edge_key(int(u), int(v)))  # type: ignore[arg-type]
+                red.add(edge_key(int(u), int(v)))  # type: ignore[arg-type]
             elif color != BLUE:
                 raise ValueError(f"unknown colour {color!r}")
-        return cls(Graph.from_edges(vertex_count, pairs), frozenset(red_seen))
+        g = Graph.from_edges(vertex_count, pairs)
+        return cls(g, frozenset(red))
 
     @classmethod
     def monochromatic(cls, g: Graph, color: str) -> ColoredGraph:

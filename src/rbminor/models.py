@@ -104,8 +104,7 @@ class MinorModel:
 
     def cross_edges(self, i: int, j: int) -> list[tuple[int, int]]:
         k = self.order
-        self.parts[i], self.parts[j]  # IndexError for a part that does not exist
-        i, j = sorted((i % k, j % k))
+        i, j = sorted((range(k)[i], range(k)[j]))
         return sorted(self._pair_table.get((i, j), ()))
 
 
