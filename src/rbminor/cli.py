@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import mpmath
@@ -360,6 +361,9 @@ def _cmd_verify(args) -> tuple[str, dict]:
     return "ok", {"checks": {"all": True}, "t": t}
 
 
+# built once per process: building the parser costs about 2 ms, some
+# fifty parse_args calls, and in-process callers run main many times
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbminor",

@@ -6,7 +6,7 @@ large RB-bipartite subgraph h1 of the active part.  Then, for part counts
 m from the largest any plan can reach down:
 
 - plan: pairwise-joined parts of h1, from the exact search
-  (`find_kt_model`, then `find_compatible`) while at most
+  (`_exact_plan`: `find_kt_model`, then `find_compatible`) while at most
   EXACT_PARTITION_CAP vertices are active, and above the cap from the m
   best-ranked parts of one greedy partition made once per call.  The
   exact search starts at the clique bound floor((n + omega(h1)) / 2) on
@@ -88,8 +88,8 @@ class CompatiblePartition:
 def find_compatible_partition(
     g: Graph, m: int, cap: int = EXACT_PARTITION_CAP
 ) -> CompatiblePartition | None:
-    """Exhaustive search for m pairwise-joined disjoint subsets; None at
-    once when m exceeds `_partition_bound`."""
+    """Exhaustive search for m pairwise-joined disjoint subsets, by
+    `_exact_plan`; None at once when m exceeds `_partition_bound`."""
     n = g.vertex_count
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
@@ -98,10 +98,8 @@ def find_compatible_partition(
     masks = list(g.adjacency_masks)
     if m > _partition_bound(masks):
         return None
-    found = find_compatible(n, masks, m)
-    if found is None:
-        return None
-    return CompatiblePartition(tuple(_mask_bits(p) for p in found))
+    found = _exact_plan(n, masks, m)
+    return None if found is None else CompatiblePartition(found)
 
 
 def _clique_number(masks: Sequence[int]) -> int:
@@ -321,22 +319,26 @@ class PipelineReport:
 _Plan = tuple[tuple[int, ...], ...]
 
 
+def _exact_plan(n: int, masks: Sequence[int], m: int) -> _Plan | None:
+    """m pairwise-joined disjoint subsets of the mask graph on n vertices,
+    or None.  A K_m model is such a partition, and `find_kt_model` finds
+    one far faster than `find_compatible` searches all partitions (K_{6,6}
+    with m = 7: milliseconds against seconds), so it is asked first."""
+    found = find_kt_model(n, masks, m)
+    if found is None:
+        found = find_compatible(n, masks, m)
+    return None if found is None else tuple(_mask_bits(p) for p in found)
+
+
 def _planner(
     h1: Graph, active_count: int
 ) -> tuple[int, Callable[[int], _Plan | None]]:
     """Largest part count any plan can have, and the plan source for part
-    counts m: exact search up to the cap, above it the best-ranked m parts
+    counts m: `_exact_plan` up to the cap, above it the best-ranked m parts
     of one greedy partition."""
     if active_count <= EXACT_PARTITION_CAP:
         masks = list(h1.adjacency_masks[:active_count])
-
-        def exact(m: int) -> _Plan | None:
-            found = find_kt_model(active_count, masks, m)
-            if found is None:
-                found = find_compatible(active_count, masks, m)
-            return None if found is None else tuple(_mask_bits(p) for p in found)
-
-        return _partition_bound(masks), exact
+        return _partition_bound(masks), partial(_exact_plan, active_count, masks)
     full = greedy_compatible_partition(h1)
     ranked = sorted(
         full.parts,
@@ -429,7 +431,6 @@ def bipartite_minor_pipeline(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    model.validate()
     host_min, model_min, old_of_new = _minimize_with_map(g, model)
     n = model_min.order
     reserve_size = max(ceil(epsilon * n), 2)

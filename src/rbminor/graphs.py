@@ -122,21 +122,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
 
-    def with_edges(self, pairs: Iterable[Sequence[int]]) -> Graph:
-        """New graph with extra edges added (duplicates tolerated)."""
-        extra = {edge_key(u, v) for u, v in pairs}
-        for u, v in extra:
-            _validate_edge(u, v, self.vertex_count)
-        return Graph(self.vertex_count, self.edges | extra)
-
-    def spanning_subgraph(self, keep: Iterable[Sequence[int]]) -> Graph:
-        """Same vertex set, keeping only the listed edges."""
-        kept = {edge_key(u, v) for u, v in keep}
-        missing = kept - self.edges
-        if missing:
-            raise ValueError(f"edges not in graph: {sorted(missing)}")
-        return Graph(self.vertex_count, frozenset(kept))
-
     def is_connected_subset(self, vertices: Iterable[int]) -> bool:
         """Whether the induced subgraph on `vertices` is connected."""
         vs = set(vertices)
@@ -196,10 +181,6 @@ class ColoredGraph:
     def red_count(self) -> int:
         return len(self.red)
 
-    @property
-    def blue_count(self) -> int:
-        return self.graph.edge_count - len(self.red)
-
     def color_of(self, u: int, v: int) -> str:
         e = edge_key(u, v)
         if e not in self.graph.edges:
@@ -248,9 +229,6 @@ class ColoredGraph:
                 raise ValueError(f"unknown colour {color!r}")
         return ColoredGraph(Graph(self.graph.vertex_count, frozenset(new_edges)),
                             frozenset(new_red))
-
-    def swap_colors(self) -> ColoredGraph:
-        return ColoredGraph(self.graph, self.graph.edges - self.red)
 
 
 @dataclass(frozen=True, eq=True)

@@ -26,7 +26,7 @@ from rbminor.extract import (
     validate_pipeline_report,
 )
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
-from rbminor.kernels import find_compatible, find_kt_model
+from rbminor.kernels import find_compatible
 from rbminor.models import MinorModel
 from rbminor.rb import RBBipartition
 
@@ -97,14 +97,22 @@ def test_partition_bound_is_an_upper_bound():
     graphs += [complete_bipartite(a, b) for a in range(5) for b in range(a, 10 - a)]
     for g in graphs:
         assert extract._partition_bound(g.adjacency_masks) >= max_compatible_order(g)
+
+
+def test_find_compatible_partition_meets_the_bound_by_a_kt_model(monkeypatch):
     # on K_{a,b} with sides differing by at most one, the split the
     # extraction leaves on a complete host, a K_bound model meets the bound
-    # (unbalanced sides it overshoots: K_{1,3} has bound 3, maximum 2)
+    # (unbalanced sides it overshoots: K_{1,3} has bound 3, maximum 2), so
+    # the answer comes from find_kt_model; find_compatible alone took
+    # seconds on K_{6,6} with m = 7
+    def refuse(*args):
+        raise AssertionError("find_compatible called where a K_m model exists")
+
+    monkeypatch.setattr(extract, "find_compatible", refuse)
     for a, b in [(a, b) for a in range(7) for b in (a, a + 1) if 0 < a + b <= 12]:
         g = complete_bipartite(a, b)
         bound = extract._partition_bound(g.adjacency_masks)
-        found = find_kt_model(a + b, list(g.adjacency_masks), bound)
-        part = extract.CompatiblePartition(tuple(extract._mask_bits(p) for p in found))
+        part = find_compatible_partition(g, bound)
         assert part.order == bound and part.is_valid_for(g), (a, b)
 
 
@@ -112,6 +120,7 @@ def test_find_compatible_partition_skips_the_kernel_above_the_bound(monkeypatch)
     def refuse(*args):
         raise AssertionError("kernel called above the clique bound")
 
+    monkeypatch.setattr(extract, "find_kt_model", refuse)
     monkeypatch.setattr(extract, "find_compatible", refuse)
     assert find_compatible_partition(complete_bipartite(6, 6), 8) is None
     assert find_compatible_partition(Graph.empty(0), 1) is None
@@ -318,29 +327,63 @@ def report_digest(report):
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
-# (G(h) draw or None for K_18, epsilon, branch that must run,
+def singleton_clique(n):
+    g = Graph.complete(n)
+    return g, MinorModel.create(g, [(v,) for v in range(n)])
+
+
+def two_vertex_part_host(k, red_pairs):
+    """Host on k parts whose auxiliary colouring is Red on red_pairs and
+    Blue elsewhere: part i is {2i, 2i+1} with root 2i, and pair (i, j)
+    gets cross edge (2i, 2j) (root path of length 1) when Red, (2i, 2j+1)
+    (length 2) when Blue."""
+    edges = [(2 * i, 2 * i + 1) for i in range(k)]
+    edges += [
+        (2 * i, 2 * j) if (i, j) in red_pairs else (2 * i, 2 * j + 1)
+        for i, j in combinations(range(k), 2)
+    ]
+    g = Graph.from_edges(2 * k, edges)
+    return g, MinorModel.create(
+        g, [(2 * i, 2 * i + 1) for i in range(k)], [2 * i for i in range(k)]
+    )
+
+
+# (host builder, epsilon, branch that must run,
 #  (m_achieved, budget_used, from_witness), SHA-256 of the whole report)
 REPAIR_CASES = [
     pytest.param(
-        (7, 0.3, 3), 0.25, "projector",
+        lambda: gh_model(random_graph(7, 0.3, 3)), 0.25, "projector",
         (4, (("projector", 1), ("connector", 0)), False),
         "ce270b400cc5f2893da7fb2ba9944b381187d21efaeb47cca8a0f6f11d2e1f92",
         id="projector",
     ),
     pytest.param(
-        (9, 0.3, 18), 0.25, "connector",
+        lambda: gh_model(random_graph(9, 0.3, 18)), 0.25, "connector",
         (5, (("projector", 2), ("connector", 1)), False),
         "c58b07a61ca1fd97040b6789714ac007a9f3aaec37ada0173f3efca82fb84c31",
         id="connector",
     ),
     pytest.param(
-        (7, 0.3, 11), 0.25, "witness",
+        lambda: gh_model(random_graph(7, 0.3, 11)), 0.25, "witness",
         (3, (("projector", 0), ("connector", 0)), False),
         "1d15c769895adcd4e7edfed4c767d2d206c2835d47c4b0aa236c35d950baf974",
         id="witness-beaten",
     ),
+    # the one input of about 480,000 searched where a witness report wins:
+    # its witness of order 3 ties the plan of order 3 found after it, and a
+    # tie goes to the witness
     pytest.param(
-        (9, 0.3, 0), 0.1, "pool_exhausted",
+        lambda: two_vertex_part_host(11, {
+            (0, 1), (1, 5), (2, 4), (2, 5), (2, 7), (2, 9), (3, 8), (3, 9),
+            (4, 5), (4, 10), (5, 6),
+        }),
+        0.4, "witness",
+        (3, (("projector", 0), ("connector", 0)), True),
+        "46e1ef766e83433ce00ee58867aac64031c6bb806ebe540af5fe6143c2bf3287",
+        id="witness-wins",
+    ),
+    pytest.param(
+        lambda: gh_model(random_graph(9, 0.3, 0)), 0.1, "pool_exhausted",
         (4, (("projector", 0), ("connector", 0)), False),
         "5c8f1512a2d158c2004ef49ccff6b62674475766198dd8b1a45304ae3fbc4aa3",
         id="pool-exhausted",
@@ -349,7 +392,7 @@ REPAIR_CASES = [
     # greedy plan runs.  m = 2 is a known shortfall of that plan (K_16 and
     # K_17 reach 7); the pin records today's output, not a target.
     pytest.param(
-        None, 0.25, "greedy",
+        lambda: singleton_clique(18), 0.25, "greedy",
         (2, (("projector", 2), ("connector", 0)), False),
         "3dd7b50ffe0c501c7a79d784f18d91ab3c73a2c6d392c65e180bfad93b5e0543",
         id="greedy",
@@ -357,13 +400,9 @@ REPAIR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("draw, epsilon, branch, pinned, digest", REPAIR_CASES)
-def test_pipeline_repair_paths(monkeypatch, draw, epsilon, branch, pinned, digest):
-    if draw is None:
-        g = Graph.complete(18)
-        model = MinorModel.create(g, [(v,) for v in range(18)])
-    else:
-        g, model = gh_model(random_graph(*draw))
+@pytest.mark.parametrize("host, epsilon, branch, pinned, digest", REPAIR_CASES)
+def test_pipeline_repair_paths(monkeypatch, host, epsilon, branch, pinned, digest):
+    g, model = host()
     seen = Counter()
     projector = extract.build_projector
     connector = extract.connect_pair

@@ -77,16 +77,6 @@ def test_adjacency_and_masks_agree():
     assert g.has_edge(4, 0) and not g.has_edge(0, 2)
 
 
-def test_with_edges_and_spanning_subgraph():
-    g = Graph.path(4)
-    g2 = g.with_edges([(0, 3)])
-    assert g2.has_edge(0, 3) and g2.edge_count == 4
-    sub = g2.spanning_subgraph([(0, 1), (0, 3)])
-    assert sub.edge_count == 2 and sub.vertex_count == 4
-    with pytest.raises(ValueError):
-        g.spanning_subgraph([(0, 2)])
-
-
 def test_is_connected_subset():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
     assert g.is_connected_subset([0, 1, 2])
@@ -99,7 +89,7 @@ def test_colored_graph_basics():
     cg = ColoredGraph.from_edge_colors(3, [(0, 1, "R"), (1, 2, "B")])
     assert cg.color_of(1, 0) == RED
     assert cg.color_of(1, 2) == BLUE
-    assert cg.red_count == 1 and cg.blue_count == 1
+    assert cg.red_count == 1
     assert cg.blue == frozenset({(1, 2)})
     with pytest.raises(KeyError):
         cg.color_of(0, 2)
@@ -109,12 +99,10 @@ def test_colored_graph_basics():
         ColoredGraph(Graph.empty(3), frozenset({(0, 1)}))
 
 
-def test_monochromatic_and_swap():
+def test_monochromatic():
     g = Graph.cycle(4)
     allred = ColoredGraph.monochromatic(g, RED)
     assert allred.red == g.edges
-    assert allred.swap_colors().red == frozenset()
-    assert allred.swap_colors().swap_colors() == allred
 
 
 def test_induced_on_keeps_vertex_range():
