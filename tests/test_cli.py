@@ -5,6 +5,7 @@ exit code against the documented mapping: 0 success, 2 bad input,
 3 instance too large, 4 budget or pool exhausted.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 
 from rbminor import io as rio
 from rbminor.cli import MAX_TRIALS, main
+from rbminor.constructions import gh_model, random_graph
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
 from rbminor.models import MinorModel
 
@@ -126,6 +128,74 @@ def test_pipeline_plain_and_model_inputs(work, capsys):
     code, doc = run(capsys, "pipeline", str(model))
     assert code == 0
     assert doc["payload"]["checks"]["all"] is True
+
+
+# What `pipeline` answers for each kind of bad input file.  A plain graph
+# file is read as the model whose parts are its single vertices; an error
+# in the model lines of a file, or a coloured file, is worded as a plain
+# graph file's error.
+PIPELINE_INPUT_ERRORS = {
+    "bad-part-line": ("3 3\n0 1\n1 2\n0 2\npart 0 0\n",
+                      "ParseError", "unexpected trailing line: 'part 0 0'"),
+    "duplicate-part": ("3 3\n0 1\n1 2\n0 2\npart 0: 0\npart 0: 1\n",
+                       "ParseError", "unexpected trailing line: 'part 0: 0'"),
+    "part-out-of-range": ("3 3\n0 1\n1 2\n0 2\npart 0: 7\n",
+                          "ParseError", "unexpected trailing line: 'part 0: 7'"),
+    "model-with-a-loop": ("3 3\n0 1\n1 1\n0 2\npart 0: 0\n",
+                          "ParseError", "unexpected trailing line: 'part 0: 0'"),
+    "coloured": ("3 3\n0 1 R\n1 2 B\n0 2 R\n",
+                 "ParseError", "expected an uncoloured graph, got a coloured one"),
+    "coloured-model": ("3 3\n0 1 R\n1 2 B\n0 2 R\npart 0: 0\n",
+                       "ParseError", "unexpected trailing line: 'part 0: 0'"),
+    "coloured-loop": ("3 3\n0 1 R\n1 1 B\n0 2 R\n", "ParseError", "loop at vertex 1"),
+    "plain-loop": ("3 3\n0 1\n1 1\n0 2\n", "ParseError", "loop at vertex 1"),
+    "bad-header": ("3\n", "ParseError", "header must be 'n m', got '3'"),
+    "empty": ("# nothing\n", "ParseError", "empty graph file"),
+    "missing-edge-lines": ("3 3\n0 1\n", "ParseError", "expected 3 edge lines, found 1"),
+    "path-is-no-k3": ("3 2\n0 1\n1 2\n", "NotAModel", "parts 0 and 2 share no edge"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_INPUT_ERRORS))
+def test_pipeline_input_errors(work, capsys, case):
+    text, code_name, message = PIPELINE_INPUT_ERRORS[case]
+    f = work / "in.txt"
+    f.write_text(text)
+    code, doc = run(capsys, "pipeline", str(f))
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["payload"] == {"code": code_name, "message": message}
+
+
+# SHA-256 of the normalised `pipeline` documents for K_n graph files and
+# G(h) model files (h = G(n, 0.5) with the given seed)
+PIPELINE_DIGESTS = {
+    ("k", 1): "2991b55932bf2ccc63c9510ed9b9d223964cddfc0bced729f238a1076d028f63",
+    ("k", 2): "e0f17c96ebd96320d901e81775ba6169ef99c42528b061750098ac28d1070c5f",
+    ("k", 3): "35795c7eb7135ea82df413c9048f0f37b6cf3f7ecec4b7e328087e81f5d661a4",
+    ("k", 4): "735ddc5331f6070a691ae945a975db4e17ae6c1ce06ed7f75e2761aadd10d0c1",
+    ("k", 8): "2eca1e4117634e49104296afb39636b5bb4bf0cc69ad0d202b4840c4583d538a",
+    ("k", 12): "f94dde84a884b01de7105bf30be729fde13767b15453833dd5d5d6e39e1ca746",
+    ("k", 13): "fbdb3e7c4bcb5bd7260b4494720d0efc0b90e21424f434771bc4c90a81605df6",
+    ("k", 20): "9492559c55c5b5c5fb7b81302d543243cd8f18bd60d94dab9462f5ae5e6f06d7",
+    ("gh", 5, 1): "00718ce29a6f698e94ac87b746a0816873461bcae5e2fe8a6ce26b6668a6d07e",
+    ("gh", 6, 2): "7697cf5e5c2a6bb7900681c2f48bf397e5525d690f2d019c9442d6adb3051dfb",
+    ("gh", 7, 3): "9069505028933003645f9549cbf07dd8772ab2ed048f34be572dc16fd5e303fe",
+    ("gh", 8, 4): "6ee7296870e2e0b55c5959b6914bd34bb5a50824e6ddaaefa6a4f17853e851ea",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PIPELINE_DIGESTS), ids=str)
+def test_pipeline_payloads_on_graph_and_model_files(work, capsys, key):
+    f = work / "in.txt"
+    if key[0] == "k":
+        f.write_text(rio.format_graph(Graph.complete(key[1])))
+    else:
+        f.write_text(rio.format_model(gh_model(random_graph(key[1], 0.5, key[2]))[1]))
+    code, doc = run(capsys, "pipeline", str(f))
+    assert code == (4 if key[:2] in (("k", 1), ("k", 2)) else 0)
+    digest = hashlib.sha256(normalized(doc).encode()).hexdigest()
+    assert digest == PIPELINE_DIGESTS[key]
 
 
 def test_pipeline_budget_exhausted_exit_4(work, capsys):
