@@ -168,13 +168,10 @@ def _cmd_lift(args) -> tuple[str, dict]:
 
 
 def _cmd_pipeline(args) -> tuple[str, dict]:
-    text = _read(args.file)
-    try:
-        model = io.parse_model(text)
-    except ParseError:
+    model = io.parse_model_or_graph(_read(args.file))
+    if isinstance(model, Graph):
         # plain graph: treat every vertex as its own part (complete hosts)
-        g = io.expect_plain(io.parse_graph(text))
-        model = models.MinorModel.create(g, [(v,) for v in range(g.vertex_count)])
+        model = models.MinorModel.create(model, [(v,) for v in range(model.vertex_count)])
     host = model.host
     report = extract.bipartite_minor_pipeline(host, model, args.epsilon)
     checks = extract.validate_pipeline_report(host, report)

@@ -9,8 +9,8 @@ m from the largest any plan can reach down:
   (`_exact_plan`: `find_kt_model`, then `find_compatible`) while at most
   EXACT_PARTITION_CAP vertices are active, and above the cap from the m
   best-ranked parts of one greedy partition made once per call.  The
-  exact search starts at the clique bound floor((n + omega(h1)) / 2) on
-  n active vertices, not at n: no compatible partition is larger, so
+  exact search starts at the order bound `oracles._order_bound` of h1,
+  not at its n active vertices: no compatible partition is larger, so
   every count above it would cost a failing exhaustive search;
 - repair: reserved auxiliary vertices restore connectivity, projector
   vertices giving every part member a neighbour and connector paths
@@ -46,6 +46,7 @@ from .graphs import (
 )
 from .kernels import find_compatible, find_kt_model
 from .models import MinorModel, _lift_edges, _minimize_with_map, build_auxiliary
+from .oracles import _order_bound
 from .rb import RBBipartition, rb_add_vertex, rb_extract_half, rb_patch_path
 
 EXACT_PARTITION_CAP = 12
@@ -89,42 +90,17 @@ def find_compatible_partition(
     g: Graph, m: int, cap: int = EXACT_PARTITION_CAP
 ) -> CompatiblePartition | None:
     """Exhaustive search for m pairwise-joined disjoint subsets, by
-    `_exact_plan`; None at once when m exceeds `_partition_bound`."""
+    `_exact_plan`; None at once when m exceeds `oracles._order_bound`."""
     n = g.vertex_count
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
     if m < 1:
         raise ValueError("m must be positive")
     masks = list(g.adjacency_masks)
-    if m > _partition_bound(masks):
+    if m > _order_bound(masks):
         return None
     found = _exact_plan(n, masks, m)
     return None if found is None else CompatiblePartition(found)
-
-
-def _clique_number(masks: Sequence[int]) -> int:
-    """Order of a largest clique of the graph whose vertex v has neighbour
-    mask masks[v], by branch and bound over candidate masks."""
-    best = 0
-
-    def grow(size: int, cand: int) -> None:
-        nonlocal best
-        best = max(best, size)
-        while cand and size + cand.bit_count() > best:
-            v = cand.bit_length() - 1
-            cand &= ~(1 << v)
-            grow(size + 1, cand & masks[v])
-
-    grow(0, (1 << len(masks)) - 1)
-    return best
-
-
-def _partition_bound(masks: Sequence[int]) -> int:
-    """Upper bound floor((n + omega) / 2) on the order of any compatible
-    partition of the mask graph on n vertices.  Singleton parts are pairwise
-    adjacent, so there are s <= omega of them, and every other part takes
-    at least two of the other n - s vertices."""
-    return (len(masks) + _clique_number(masks)) // 2
 
 
 def greedy_compatible_partition(g: Graph) -> CompatiblePartition:
@@ -205,10 +181,7 @@ def build_projector(
             )
         s = queue.pop(0)
         placed, kept = rb_add_vertex(
-            cur,
-            partition,
-            s,
-            [(u, _pair_color(pool_colors, s, u)) for u in remaining],
+            partition, s, [(u, _pair_color(pool_colors, s, u)) for u in remaining]
         )
         cur = cur.with_colored_edges([(s, u, c) for u, c in kept])
         partition = partition.extended(s, placed)
@@ -338,7 +311,7 @@ def _planner(
     of one greedy partition."""
     if active_count <= EXACT_PARTITION_CAP:
         masks = list(h1.adjacency_masks[:active_count])
-        return _partition_bound(masks), partial(_exact_plan, active_count, masks)
+        return _order_bound(masks), partial(_exact_plan, active_count, masks)
     full = greedy_compatible_partition(h1)
     ranked = sorted(
         full.parts,
@@ -422,12 +395,12 @@ def bipartite_minor_pipeline(
     vertices (at least 2), extracts an RB-bipartite half of the active
     auxiliary clique, and searches part counts downward: pairwise-joined
     parts first without any reserve spend (connected parts), then with
-    projector and connector repair.  The exact search starts at the clique
-    bound floor((n + omega(h1)) / 2) of its n active vertices, not at n,
-    since no larger count has a plan.  A step that exhausts the reserve
-    retreats to the next smaller count; a complete RB-bipartite pool
-    witness is kept when it beats the planned count.  The report is
-    always a valid bipartite minor model in g's own labels.
+    projector and connector repair.  The exact search starts at the order
+    bound of h1, not at its n active vertices, since no larger count has a
+    plan.  A step that exhausts the reserve retreats to the next smaller
+    count; a complete RB-bipartite pool witness is kept when it beats the
+    planned count.  The report is always a valid bipartite minor model in
+    g's own labels.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")

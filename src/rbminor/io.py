@@ -18,6 +18,7 @@ the per-row reader, which words every parse error.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from typing import Any
 
 from .errors import InstanceTooLarge, ParseError
@@ -155,16 +156,11 @@ def expect_colored(parsed: Graph | ColoredGraph) -> ColoredGraph:
     return parsed
 
 
-def parse_model(text: str) -> MinorModel:
-    """Parse a host graph followed by part/root lines."""
-    lines = _significant_lines(text)
-    n, edges, _, colored, consumed = _parse_header_and_edges(lines)
-    if colored:
-        raise ParseError("model hosts are uncoloured")
-    host = _graph(n, edges)
+def _model_of(host: Graph, lines: list[str]) -> MinorModel:
+    """The model of host that the part/root lines describe."""
     parts: dict[int, tuple[int, ...]] = {}
     roots: dict[int, int] = {}
-    for line in lines[consumed:]:
+    for line in lines:
         row = line.split()
         if row[0] == "part" and len(row) >= 3 and row[1].endswith(":"):
             idx = _parse_int(row[1][:-1], "part index")
@@ -191,6 +187,28 @@ def parse_model(text: str) -> MinorModel:
         return MinorModel.create(host, part_list, root_list)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def parse_model(text: str) -> MinorModel:
+    """Parse a host graph followed by part/root lines."""
+    lines = _significant_lines(text)
+    n, edges, _, colored, consumed = _parse_header_and_edges(lines)
+    if colored:
+        raise ParseError("model hosts are uncoloured")
+    return _model_of(_graph(n, edges), lines[consumed:])
+
+
+def parse_model_or_graph(text: str) -> MinorModel | Graph:
+    """Parse a model file, or else a plain graph file, reading valid text
+    once.  Errors are worded by parse_graph and expect_plain: a bad
+    part/root line, or a bad host under such lines, is a trailing line."""
+    lines = _significant_lines(text)
+    n, edges, _, colored, consumed = _parse_header_and_edges(lines)
+    if not colored:
+        with suppress(ParseError):
+            g = _graph(n, edges)
+            return g if len(lines) == consumed else _model_of(g, lines[consumed:])
+    return expect_plain(parse_graph(text))
 
 
 def format_graph(g: Graph) -> str:

@@ -23,7 +23,14 @@ Two exact reductions shorten the walk without changing that answer:
 - Threshold.  With b the best value so far, a later bipartition matters
   only if its graph has a K_{b+1} minor.  One with fewer than
   C(b+1, 2) edges is skipped, and once b is at least 3 the others are
-  searched for t > b only.
+  searched for t > b only.  Every Hadwiger search asks only for t up to
+  the order bound of its core on n vertices and e edges, which holds for
+  any t pairwise-joined disjoint vertex sets, connected or not:
+  - C(t, 2) <= e: each pair of sets needs an edge of its own;
+  - t <= floor((n + omega) / 2): singleton sets are pairwise adjacent,
+    so at most omega of them, and every other set takes two vertices.
+  The scan of `max_bipartite_hadwiger` stops at min(h(g), n // 2 + 1),
+  since its crossing graphs are bipartite (omega <= 2).
 
 `max_rb_bipartite_oracle` has no such reduction; it counts every
 partition in Gray-code order, one vertex flip per step.
@@ -32,7 +39,7 @@ partition in Gray-code order, one vertex flip per step.
 from __future__ import annotations
 
 from collections import deque
-from math import comb
+from math import comb, isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InstanceTooLarge
@@ -113,12 +120,32 @@ def _series_reduce(g: Graph) -> tuple[int, list[int]]:
     return len(keep), masks
 
 
-def _clique_minor_ub(core_n: int, core_m: int) -> int:
-    """A K_t minor needs at least t(t-1)/2 edges."""
-    t = core_n
-    while t > 0 and t * (t - 1) // 2 > core_m:
-        t -= 1
-    return t
+def _clique_number(masks: Sequence[int]) -> int:
+    """Order of a largest clique of the graph whose vertex v has neighbour
+    mask masks[v], by branch and bound over candidate masks."""
+    best = 0
+
+    def grow(size: int, cand: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        while cand and size + cand.bit_count() > best:
+            v = cand.bit_length() - 1
+            cand &= ~(1 << v)
+            grow(size + 1, cand & masks[v])
+
+    grow(0, (1 << len(masks)) - 1)
+    return best
+
+
+def _order_bound(masks: Sequence[int], floor: int = 0) -> int:
+    """Upper bound min(n, e, floor((n + omega) / 2)) on the t of a K_t
+    minor, or of t pairwise-joined disjoint vertex sets, in the mask graph
+    on n vertices, e the edge bound (see the module docstring).  omega is
+    computed only when min(n, e) exceeds floor; else min(n, e) is given."""
+    n = len(masks)
+    edges = sum(mask.bit_count() for mask in masks) // 2
+    t = min(n, (1 + isqrt(1 + 8 * edges)) // 2)
+    return t if t <= floor else min(t, (n + _clique_number(masks)) // 2)
 
 
 def _core_hadwiger(g: Graph, floor: int, core_cap: int = HADWIGER_CORE_CAP) -> int:
@@ -128,9 +155,8 @@ def _core_hadwiger(g: Graph, floor: int, core_cap: int = HADWIGER_CORE_CAP) -> i
         raise InstanceTooLarge(
             f"series-reduced core has {core_n} vertices (cap {core_cap})"
         )
-    core_m = sum(bin(m).count("1") for m in masks) // 2
-    ub = min(core_n, _clique_minor_ub(core_n, core_m))
-    for t in range(ub, max(floor, 3), -1):
+    low = max(floor, 3)
+    for t in range(_order_bound(masks, low), low, -1):
         if find_kt_model(core_n, masks, t) is not None:
             return t
     return floor
@@ -217,9 +243,10 @@ def _max_hadwiger_scan(
 ) -> tuple[int, Bipartition]:
     """Best Hadwiger number of the graph on g's vertices with edges
     subgraph_edges(side), over the bipartitions of g, with the first
-    bipartition attaining it; stops once the value reaches ceiling.
-    subgraph_edges must give isomorphic graphs for two sides that a twin
-    permutation of g or a side swap maps to each other."""
+    bipartition attaining it; stops once the value reaches ceiling, an
+    upper bound on every such graph's Hadwiger number.  subgraph_edges must
+    give isomorphic graphs for two sides that a twin permutation of g or a
+    side swap maps to each other."""
     n = g.vertex_count
     best = -1
     best_side: dict[int, int] = {}
@@ -251,9 +278,8 @@ def max_bipartite_hadwiger(
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
     if n == 0:
         return 0, Bipartition({})
-    return _max_hadwiger_scan(
-        g, lambda side: _crossing_edges(g.edges, side), hadwiger_oracle(g)
-    )
+    ceiling = min(hadwiger_oracle(g), n // 2 + 1)
+    return _max_hadwiger_scan(g, lambda side: _crossing_edges(g.edges, side), ceiling)
 
 
 def max_rb_bipartite_oracle(

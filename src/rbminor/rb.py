@@ -241,7 +241,6 @@ def extraction_stats(
 
 
 def rb_add_vertex(
-    cg: ColoredGraph,
     partition: RBBipartition,
     w: int,
     incident: Sequence[tuple[int, str]],

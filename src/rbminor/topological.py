@@ -84,7 +84,7 @@ def rb_topological_clique(cg: ColoredGraph, t: int) -> TopologicalModel:
         w = min(free)
         free.discard(w)
         sw, kept = rb_add_vertex(
-            cg, RBBipartition(side), w, [(v, cg.color_of(w, v)) for v in branch]
+            RBBipartition(side), w, [(v, cg.color_of(w, v)) for v in branch]
         )
         side[w] = sw
         direct = {v for v, _ in kept}

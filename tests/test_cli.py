@@ -5,18 +5,23 @@ exit code against the documented mapping: 0 success, 2 bad input,
 3 instance too large, 4 budget or pool exhausted.
 """
 
+import copy
 import hashlib
 import json
 import shutil
 import subprocess
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbminor import io as rio
 from rbminor.cli import MAX_TRIALS, main
-from rbminor.constructions import gh_model, random_graph
+from rbminor.constructions import gh_model, random_coloring, random_graph
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
 from rbminor.models import MinorModel
 
@@ -433,6 +438,107 @@ def test_verify_tk_roundtrip_and_tamper(work, capsys):
     code, doc = run(capsys, "verify", "tk", str(broken), "--graph", str(host))
     assert code == 2
     assert doc["payload"]["code"] == "ParseError"
+
+
+def one_document(argv):
+    """Run main(argv) and check that it exits 0, 2, 3 or 4 with exactly one
+    JSON object on stdout."""
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = main(argv)
+    stdout = out.getvalue()
+    assert code in (0, 2, 3, 4), (argv, stdout)
+    assert stdout.endswith("\n") and "\n" not in stdout[:-1], stdout
+    assert isinstance(json.loads(stdout), dict)
+
+
+@pytest.fixture(scope="module")
+def verify_inputs(tmp_path_factory):
+    """Graph files of each kind, and a real pipeline and tk payload."""
+    d = tmp_path_factory.mktemp("verify")
+    files = {
+        "k8.txt": rio.format_graph(Graph.complete(8)),
+        "c20.txt": rio.format_colored(random_coloring(Graph.complete(20), 3)),
+        "model.txt": rio.format_model(domino_model()),
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    payloads = {}
+    for kind, argv in (("pipeline", ["pipeline", str(d / "k8.txt")]),
+                       ("tk", ["tk-build", str(d / "c20.txt"), "--t", "4"])):
+        out = StringIO()
+        with redirect_stdout(out), redirect_stderr(StringIO()):
+            assert main(argv) == 0
+        payloads[kind] = json.loads(out.getvalue())["payload"]
+    return d, sorted(str(d / name) for name in files), payloads
+
+
+DOC_KEYS = sorted({"m_achieved", "parts", "roots", "lift_edges", "partition",
+                   "reserve_size", "budget", "from_witness", "branch", "paths",
+                   "side", "host_order", "escape", "budget_cap", "pair", "path",
+                   "projector", "connector", "0", "1", "X", "Y"})
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats()
+    | st.sampled_from([10**30, -(10**30), "", "X", "Y", "R", "0", "a"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(DOC_KEYS), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+def json_spots(doc):
+    """(container, key or index) of every value inside doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from json_spots(value)
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one to three values replaced by random JSON or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        spots = list(json_spots(doc))
+        if not spots:
+            break
+        parent, key = draw(st.sampled_from(spots))
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_verify_answers_fuzzed_documents_with_one_document(verify_inputs, data):
+    d, graphs, payloads = verify_inputs
+    kind = data.draw(st.sampled_from(["pipeline", "tk"]))
+    doc = data.draw(json_values | mutated(payloads[kind]))
+    (d / "doc.json").write_text(json.dumps(doc))
+    graph = data.draw(st.sampled_from(graphs))
+    one_document(["verify", kind, str(d / "doc.json"), "--graph", graph])
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(["all", "none"]) | st.text("0123456789-, ax", max_size=10))
+def test_lift_answers_fuzzed_selectors_with_one_document(verify_inputs, selector):
+    d, _, _ = verify_inputs
+    try:
+        one_document(["lift", str(d / "model.txt"), selector])
+    except SystemExit as exc:
+        # argparse read the selector as an option: a usage error, before
+        # any subcommand runs
+        assert exc.code == 2 and selector.startswith("-")
+
+
+@settings(max_examples=30)
+@given(st.integers(-10, 40) | st.sampled_from([10**6, 10**18, -(10**18)]))
+def test_tk_build_answers_any_t_with_one_document(verify_inputs, t):
+    d, _, _ = verify_inputs
+    one_document(["tk-build", str(d / "c20.txt"), "--t", str(t)])
 
 
 def test_argparse_rejects_unknown_usage():

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from rbminor import extract
+from rbminor import extract, oracles
 from rbminor.constructions import (
     derive_seed,
     gh_model,
@@ -76,7 +76,7 @@ def test_clique_number_matches_brute_force():
         for k, p in enumerate((0.3, 0.5, 0.8))
     ]
     for g in graphs:
-        assert extract._clique_number(g.adjacency_masks) == brute_clique_number(g)
+        assert oracles._clique_number(g.adjacency_masks) == brute_clique_number(g)
 
 
 def max_compatible_order(g):
@@ -95,8 +95,19 @@ def test_partition_bound_is_an_upper_bound():
         for seed in range(100)
     ]
     graphs += [complete_bipartite(a, b) for a in range(5) for b in range(a, 10 - a)]
+    graphs += [Graph.empty(0), Graph.empty(1), Graph.empty(5), Graph.path(7),
+               Graph.cycle(8), Graph.complete(7)]
     for g in graphs:
-        assert extract._partition_bound(g.adjacency_masks) >= max_compatible_order(g)
+        masks = g.adjacency_masks
+        n, e = g.vertex_count, len(g.edges)
+        edge_bound = max(t for t in range(n + 2) if t * (t - 1) // 2 <= e)
+        merged = min(n, edge_bound, (n + brute_clique_number(g)) // 2)
+        assert oracles._order_bound(masks) == merged
+        assert merged >= max_compatible_order(g)
+        # below the floor omega is not computed, and min(n, e) comes back
+        for floor in range(n + 2):
+            want = merged if min(n, edge_bound) > floor else min(n, edge_bound)
+            assert oracles._order_bound(masks, floor) == want
 
 
 def test_find_compatible_partition_meets_the_bound_by_a_kt_model(monkeypatch):
@@ -111,14 +122,14 @@ def test_find_compatible_partition_meets_the_bound_by_a_kt_model(monkeypatch):
     monkeypatch.setattr(extract, "find_compatible", refuse)
     for a, b in [(a, b) for a in range(7) for b in (a, a + 1) if 0 < a + b <= 12]:
         g = complete_bipartite(a, b)
-        bound = extract._partition_bound(g.adjacency_masks)
+        bound = oracles._order_bound(g.adjacency_masks)
         part = find_compatible_partition(g, bound)
         assert part.order == bound and part.is_valid_for(g), (a, b)
 
 
 def test_find_compatible_partition_skips_the_kernel_above_the_bound(monkeypatch):
     def refuse(*args):
-        raise AssertionError("kernel called above the clique bound")
+        raise AssertionError("kernel called above the order bound")
 
     monkeypatch.setattr(extract, "find_kt_model", refuse)
     monkeypatch.setattr(extract, "find_compatible", refuse)

@@ -12,17 +12,22 @@ running the code under test:
   one leftover vertex.
 """
 
+from functools import cache
 from itertools import combinations
 
 import pytest
 
+from rbminor import oracles
 from rbminor.constructions import (
+    derive_seed,
     gh_max_bipartite_hadwiger,
     random_coloring,
     random_graph,
+    theorem_lb_experiment,
 )
 from rbminor.errors import InstanceTooLarge
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph
+from rbminor.kernels import find_kt_model
 from rbminor.oracles import (
     _twin_classes,
     hadwiger_oracle,
@@ -213,3 +218,88 @@ def test_bipartite_scans_match_the_plain_loop():
     cores += [Graph.empty(4), random_graph(6, 0.5, 3), random_graph(7, 0.3, 4)]
     for h in cores:
         same_answer(gh_max_bipartite_hadwiger(h), reference_gh(h))
+
+
+# The benchmark's two fixed oracle_exact hosts, G(9, 0.6) and G(9, 0.7).
+WORKLOAD_G9 = [
+    Graph.from_edges(9, [
+        (0, 3), (0, 4), (0, 5), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 8),
+        (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5), (3, 6),
+        (3, 7), (3, 8), (4, 6), (4, 7), (4, 8), (5, 6), (5, 8), (7, 8),
+    ]),
+    Graph.from_edges(9, [
+        (0, 2), (0, 5), (0, 8), (1, 2), (1, 4), (1, 5), (1, 7), (1, 8), (2, 3),
+        (2, 4), (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (4, 6), (4, 7), (5, 6),
+        (5, 7), (6, 8), (7, 8),
+    ]),
+]
+
+
+def unbounded_hadwiger(g, start=0):
+    """Largest t >= start with a K_t minor in g itself, unreduced, asking
+    find_kt_model for start + 1, start + 2, ... until one fails."""
+    n, masks = g.vertex_count, list(g.adjacency_masks)
+    t = start
+    while t < n and find_kt_model(n, masks, t + 1) is not None:
+        t += 1
+    return t
+
+
+def unbounded_bipartite_hadwiger(g):
+    """Plain loop over the bipartitions as in reference_scan; a side's
+    search starts above the best so far, since only a larger value counts."""
+    n = g.vertex_count
+    best, best_side = -1, None
+    for mask in range(1 << (n - 1)):
+        side = {0: 0, **{v: (mask >> (v - 1)) & 1 for v in range(1, n)}}
+        crossing = Graph.from_edges(n, [(u, v) for u, v in g.edges if side[u] != side[v]])
+        value = unbounded_hadwiger(crossing, max(best, 0))
+        if value > best:
+            best, best_side = value, side
+    return best, best_side
+
+
+def test_oracles_match_a_search_without_the_order_bound():
+    hosts = [Graph.complete(n) for n in range(1, 10)]
+    hosts += [
+        random_graph(n, p, derive_seed(63, 10 * n + k))
+        for n in range(2, 10)
+        for k, p in enumerate((0.3, 0.5, 0.7))
+    ]
+    for g in WORKLOAD_G9 + hosts:
+        assert hadwiger_oracle(g) == unbounded_hadwiger(g), sorted(g.edges)
+    # without the bound a 9-vertex host with more than half of its 36
+    # pairs joined takes 0.2-2.7 s to scan, so of those only the two
+    # workload hosts are scanned
+    for g in WORKLOAD_G9 + [h for h in hosts if h.vertex_count < 9 or len(h.edges) <= 18]:
+        same_answer(max_bipartite_hadwiger(g), unbounded_bipartite_hadwiger(g))
+
+
+def test_oracles_never_ask_for_t_above_the_order_bound(monkeypatch):
+    @cache
+    def order_bound(masks):
+        # min(n, e, floor((n + omega) / 2)) by brute force over vertex sets
+        n = len(masks)
+        e = sum(bin(m).count("1") for m in masks) // 2
+        omega = max(
+            (k for k in range(n + 1) for vs in combinations(range(n), k)
+             if all(masks[u] >> v & 1 for u, v in combinations(vs, 2))),
+            default=0,
+        )
+        return min(n, max(t for t in range(n + 2) if t * (t - 1) // 2 <= e), (n + omega) // 2)
+
+    asked = []
+
+    def checked(n, masks, t):
+        asked.append(t)
+        assert t <= order_bound(tuple(masks)), (masks, t)
+        return find_kt_model(n, masks, t)
+
+    monkeypatch.setattr(oracles, "find_kt_model", checked)
+    for g in WORKLOAD_G9 + [random_graph(8, p, derive_seed(64, k))
+                            for k, p in enumerate((0.3, 0.5, 0.7, 0.9))]:
+        hadwiger_oracle(g)
+        max_bipartite_hadwiger(g)
+    gh_max_bipartite_hadwiger(random_graph(7, 0.5, 5))
+    theorem_lb_experiment(6, 2, 7)
+    assert asked

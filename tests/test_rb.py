@@ -167,16 +167,15 @@ def test_extract_half_rejects_bad_order():
 
 
 def test_add_vertex_keeps_majority():
-    cg = ColoredGraph.monochromatic(Graph.empty(4), RED)
     part = RBBipartition({0: 0, 1: 1, 2: 0})
-    side, kept = rb_add_vertex(cg, part, 3, [(0, RED), (1, RED), (2, BLUE)])
+    side, kept = rb_add_vertex(part, 3, [(0, RED), (1, RED), (2, BLUE)])
     # X keeps (1,R) crossing and (2,B) inside; Y keeps only (0,R)
     assert side == 0
     assert kept == [(1, RED), (2, BLUE)]
     with pytest.raises(ValueError):
-        rb_add_vertex(cg, part, 0, [])
+        rb_add_vertex(part, 0, [])
     with pytest.raises(ValueError):
-        rb_add_vertex(cg, part, 3, [(9, RED)])
+        rb_add_vertex(part, 3, [(9, RED)])
 
 
 # Reference versions of the per-edge loops: parity union-find with a find
