@@ -130,6 +130,8 @@ def _cmd_aux(args) -> tuple[str, dict]:
 
 
 def _parse_edge_subset(text: str, order: int) -> list[tuple[int, int]]:
+    if not isinstance(text, str):  # argparse reads "lift FILE -- --" as edges=[]
+        raise ParseError("bad edge selector '--'")
     if text == "all":
         return [(i, j) for i in range(order) for j in range(i + 1, order)]
     if text == "none":

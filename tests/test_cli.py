@@ -523,14 +523,16 @@ def test_verify_answers_fuzzed_documents_with_one_document(verify_inputs, data):
 
 
 @settings(max_examples=40)
-@given(st.sampled_from(["all", "none"]) | st.text("0123456789-, ax", max_size=10))
-def test_lift_answers_fuzzed_selectors_with_one_document(verify_inputs, selector):
+@given(st.sampled_from(["all", "none", "--"]) | st.text("0123456789-, ax", max_size=10),
+       st.booleans())
+def test_lift_answers_fuzzed_selectors_with_one_document(verify_inputs, selector, after_dashes):
     d, _, _ = verify_inputs
+    argv = ["lift", str(d / "model.txt")] + ["--"] * after_dashes + [selector]
     try:
-        one_document(["lift", str(d / "model.txt"), selector])
+        one_document(argv)
     except SystemExit as exc:
-        # argparse read the selector as an option: a usage error, before
-        # any subcommand runs
+        # argparse read the selector as an option, or found none: a usage
+        # error, before any subcommand runs
         assert exc.code == 2 and selector.startswith("-")
 
 
