@@ -130,8 +130,6 @@ def _cmd_aux(args) -> tuple[str, dict]:
 
 
 def _parse_edge_subset(text: str, order: int) -> list[tuple[int, int]]:
-    if not isinstance(text, str):  # argparse reads "lift FILE -- --" as edges=[]
-        raise ParseError("bad edge selector '--'")
     if text == "all":
         return [(i, j) for i in range(order) for j in range(i + 1, order)]
     if text == "none":
@@ -150,6 +148,8 @@ def _cmd_lift(args) -> tuple[str, dict]:
     model = io.parse_model(_read(args.file))
     host_min, model_min = models.minimize_model(model.host, model)
     aux = models.build_auxiliary(model_min)
+    if not isinstance(args.edges, str):  # argparse reads "lift FILE -- --" as edges=[]
+        raise ParseError("bad edge selector '--'")
     sub = _parse_edge_subset(args.edges, aux.order)
     lifted = models.lift_subgraph(model_min, aux, sub)
     verdict = is_bipartite(lifted)

@@ -137,15 +137,13 @@ def _clique_number(masks: Sequence[int]) -> int:
     return best
 
 
-def _order_bound(masks: Sequence[int], floor: int = 0) -> int:
+def _order_bound(masks: Sequence[int]) -> int:
     """Upper bound min(n, e, floor((n + omega) / 2)) on the t of a K_t
     minor, or of t pairwise-joined disjoint vertex sets, in the mask graph
-    on n vertices, e the edge bound (see the module docstring).  omega is
-    computed only when min(n, e) exceeds floor; else min(n, e) is given."""
+    on n vertices, e the edge bound (see the module docstring)."""
     n = len(masks)
     edges = sum(mask.bit_count() for mask in masks) // 2
-    t = min(n, (1 + isqrt(1 + 8 * edges)) // 2)
-    return t if t <= floor else min(t, (n + _clique_number(masks)) // 2)
+    return min(n, (1 + isqrt(1 + 8 * edges)) // 2, (n + _clique_number(masks)) // 2)
 
 
 def _core_hadwiger(g: Graph, floor: int, core_cap: int = HADWIGER_CORE_CAP) -> int:
@@ -155,8 +153,7 @@ def _core_hadwiger(g: Graph, floor: int, core_cap: int = HADWIGER_CORE_CAP) -> i
         raise InstanceTooLarge(
             f"series-reduced core has {core_n} vertices (cap {core_cap})"
         )
-    low = max(floor, 3)
-    for t in range(_order_bound(masks, low), low, -1):
+    for t in range(_order_bound(masks), max(floor, 3), -1):
         if find_kt_model(core_n, masks, t) is not None:
             return t
     return floor

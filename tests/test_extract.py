@@ -104,10 +104,6 @@ def test_partition_bound_is_an_upper_bound():
         merged = min(n, edge_bound, (n + brute_clique_number(g)) // 2)
         assert oracles._order_bound(masks) == merged
         assert merged >= max_compatible_order(g)
-        # below the floor omega is not computed, and min(n, e) comes back
-        for floor in range(n + 2):
-            want = merged if min(n, edge_bound) > floor else min(n, edge_bound)
-            assert oracles._order_bound(masks, floor) == want
 
 
 def test_find_compatible_partition_meets_the_bound_by_a_kt_model(monkeypatch):
