@@ -10,8 +10,12 @@ m from the largest any plan can reach down:
   EXACT_PARTITION_CAP vertices are active, and above the cap from the m
   best-ranked parts of one greedy partition made once per call.  The
   exact search starts at the order bound `oracles._order_bound` of h1,
-  not at its n active vertices: no compatible partition is larger, so
-  every count above it would cost a failing exhaustive search;
+  not at its n active vertices: the largest m <= n with C(m, 2) <= e, its
+  edge count, and 2m <= n + omega(h1[V_m]), V_m the vertices of degree
+  >= m - 1 (a singleton part needs an edge to each other part,
+  singletons are pairwise adjacent, and every other part takes two
+  vertices).  No compatible partition is larger, so every count above it
+  would cost a failing exhaustive search;
 - repair: reserved auxiliary vertices restore connectivity, projector
   vertices giving every part member a neighbour and connector paths
   chaining the projectors together.  A reserve that runs dry retreats to
@@ -90,7 +94,9 @@ def find_compatible_partition(
     g: Graph, m: int, cap: int = EXACT_PARTITION_CAP
 ) -> CompatiblePartition | None:
     """Exhaustive search for m pairwise-joined disjoint subsets, by
-    `_exact_plan`; None at once when m exceeds `oracles._order_bound`."""
+    `_exact_plan`; None at once when m exceeds `oracles._order_bound`, the
+    largest m <= n with C(m, 2) <= e, the edge count, and
+    2m <= n + omega(G[V_m]), V_m the vertices of degree >= m - 1."""
     n = g.vertex_count
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")

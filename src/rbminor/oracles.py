@@ -27,8 +27,13 @@ Two exact reductions shorten the walk without changing that answer:
   the order bound of its core on n vertices and e edges, which holds for
   any t pairwise-joined disjoint vertex sets, connected or not:
   - C(t, 2) <= e: each pair of sets needs an edge of its own;
-  - t <= floor((n + omega) / 2): singleton sets are pairwise adjacent,
-    so at most omega of them, and every other set takes two vertices.
+  - 2t <= n + omega(G[V_t]), V_t the vertices of degree >= t - 1: a
+    singleton set {v} needs an edge to each of the other t - 1 sets, so v
+    lies in V_t; singletons are pairwise adjacent, so at most
+    omega(G[V_t]) of them, and every other set takes two vertices.  V_t
+    shrinks as t grows, so the t that pass are all t up to one value, at
+    most floor((n + omega) / 2).  On the 3-regular Petersen graph V_6 is
+    empty, so the bound is 5, not 6.
   The scan of `max_bipartite_hadwiger` stops at min(h(g), n // 2 + 1),
   since its crossing graphs are bipartite (omega <= 2).
 
@@ -120,9 +125,10 @@ def _series_reduce(g: Graph) -> tuple[int, list[int]]:
     return len(keep), masks
 
 
-def _clique_number(masks: Sequence[int]) -> int:
+def _clique_number(masks: Sequence[int], within: int | None = None) -> int:
     """Order of a largest clique of the graph whose vertex v has neighbour
-    mask masks[v], by branch and bound over candidate masks."""
+    mask masks[v], or of its subgraph induced on the vertex mask `within`,
+    by branch and bound over candidate masks."""
     best = 0
 
     def grow(size: int, cand: int) -> None:
@@ -133,17 +139,26 @@ def _clique_number(masks: Sequence[int]) -> int:
             cand &= ~(1 << v)
             grow(size + 1, cand & masks[v])
 
-    grow(0, (1 << len(masks)) - 1)
+    grow(0, (1 << len(masks)) - 1 if within is None else within)
     return best
 
 
 def _order_bound(masks: Sequence[int]) -> int:
-    """Upper bound min(n, e, floor((n + omega) / 2)) on the t of a K_t
-    minor, or of t pairwise-joined disjoint vertex sets, in the mask graph
-    on n vertices, e the edge bound (see the module docstring)."""
+    """Largest t <= min(n, e) with 2t <= n + omega(G[V_t]), V_t the vertices
+    of degree >= t - 1: an upper bound on the t of a K_t minor, or of t
+    pairwise-joined disjoint vertex sets, in the mask graph on n vertices,
+    e the edge bound (see the module docstring).  The descent starts at
+    min(n, e, floor((n + omega) / 2)) and pays one more clique search only
+    for a t whose degree filter drops a vertex."""
     n = len(masks)
     edges = sum(mask.bit_count() for mask in masks) // 2
-    return min(n, (1 + isqrt(1 + 8 * edges)) // 2, (n + _clique_number(masks)) // 2)
+    t = min(n, (1 + isqrt(1 + 8 * edges)) // 2, (n + _clique_number(masks)) // 2)
+    degrees = [mask.bit_count() for mask in masks]
+    while True:
+        heavy = sum(1 << v for v, d in enumerate(degrees) if d >= t - 1)
+        if heavy == (1 << n) - 1 or 2 * t <= n + _clique_number(masks, heavy):
+            return t
+        t -= 1
 
 
 def _core_hadwiger(g: Graph, floor: int, core_cap: int = HADWIGER_CORE_CAP) -> int:

@@ -58,10 +58,10 @@ def complete_bipartite(a, b):
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def brute_clique_number(g):
-    n = g.vertex_count
+def brute_clique_number(g, within=None):
+    within = range(g.vertex_count) if within is None else within
     return max(
-        (k for k in range(n + 1) for vs in combinations(range(n), k)
+        (k for k in range(len(within) + 1) for vs in combinations(within, k)
          if all(g.has_edge(u, v) for u, v in combinations(vs, 2))),
         default=0,
     )
@@ -77,6 +77,9 @@ def test_clique_number_matches_brute_force():
     ]
     for g in graphs:
         assert oracles._clique_number(g.adjacency_masks) == brute_clique_number(g)
+        odd = [v for v in range(g.vertex_count) if v % 2]
+        within = sum(1 << v for v in odd)
+        assert oracles._clique_number(g.adjacency_masks, within) == brute_clique_number(g, odd)
 
 
 def max_compatible_order(g):
@@ -89,6 +92,20 @@ def max_compatible_order(g):
     return m
 
 
+def brute_order_bound(g):
+    """Largest t <= n with C(t, 2) <= e and 2t <= n + omega(G[V_t]), V_t the
+    vertices of degree >= t - 1, with every omega by brute force over vertex
+    sets and every t tried."""
+    n, e = g.vertex_count, len(g.edges)
+
+    def passes(t):
+        heavy = [v for v in range(n) if g.degree(v) >= t - 1]
+        omega = brute_clique_number(g, heavy)
+        return t * (t - 1) // 2 <= e and 2 * t <= n + omega
+
+    return max(t for t in range(n + 1) if passes(t))
+
+
 def test_partition_bound_is_an_upper_bound():
     graphs = [
         random_graph(2 + seed % 8, (0.3, 0.5, 0.7)[seed % 3], derive_seed(62, seed))
@@ -99,11 +116,12 @@ def test_partition_bound_is_an_upper_bound():
                Graph.cycle(8), Graph.complete(7)]
     for g in graphs:
         masks = g.adjacency_masks
-        n, e = g.vertex_count, len(g.edges)
-        edge_bound = max(t for t in range(n + 2) if t * (t - 1) // 2 <= e)
-        merged = min(n, edge_bound, (n + brute_clique_number(g)) // 2)
-        assert oracles._order_bound(masks) == merged
-        assert merged >= max_compatible_order(g)
+        bound = brute_order_bound(g)
+        assert oracles._order_bound(masks) == bound, sorted(g.edges)
+        assert bound >= max_compatible_order(g)
+    # a 6-cycle has no vertex of degree 3, so no K_4 singleton: 3, not
+    # min(6, 4, floor((6 + 2) / 2)) = 4
+    assert oracles._order_bound((12, 20, 3, 33, 34, 24)) == 3
 
 
 def test_find_compatible_partition_meets_the_bound_by_a_kt_model(monkeypatch):

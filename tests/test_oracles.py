@@ -278,15 +278,21 @@ def test_oracles_match_a_search_without_the_order_bound():
 def test_oracles_never_ask_for_t_above_the_order_bound(monkeypatch):
     @cache
     def order_bound(masks):
-        # min(n, e, floor((n + omega) / 2)) by brute force over vertex sets
+        # the largest t <= n with C(t, 2) <= e and 2t <= n + omega(G[V_t]),
+        # V_t the vertices of degree >= t - 1, by brute force over vertex sets
         n = len(masks)
         e = sum(bin(m).count("1") for m in masks) // 2
-        omega = max(
-            (k for k in range(n + 1) for vs in combinations(range(n), k)
-             if all(masks[u] >> v & 1 for u, v in combinations(vs, 2))),
-            default=0,
-        )
-        return min(n, max(t for t in range(n + 2) if t * (t - 1) // 2 <= e), (n + omega) // 2)
+
+        def passes(t):
+            heavy = [v for v in range(n) if bin(masks[v]).count("1") >= t - 1]
+            omega = max(
+                (k for k in range(len(heavy) + 1) for vs in combinations(heavy, k)
+                 if all(masks[u] >> v & 1 for u, v in combinations(vs, 2))),
+                default=0,
+            )
+            return t * (t - 1) // 2 <= e and 2 * t <= n + omega
+
+        return max(t for t in range(n + 1) if passes(t))
 
     asked = []
 
@@ -303,3 +309,18 @@ def test_oracles_never_ask_for_t_above_the_order_bound(monkeypatch):
     gh_max_bipartite_hadwiger(random_graph(7, 0.5, 5))
     theorem_lb_experiment(6, 2, 7)
     assert asked
+
+
+def test_petersen_needs_no_k6_search(monkeypatch):
+    # 3-regular, so a K_6 model has no singleton branch set and needs 12
+    # vertices: the order bound is 5 and the oracle asks for no K_6
+    asked = []
+
+    def recording(n, masks, t):
+        asked.append(t)
+        return find_kt_model(n, masks, t)
+
+    monkeypatch.setattr(oracles, "find_kt_model", recording)
+    assert oracles._order_bound(petersen().adjacency_masks) == 5
+    assert hadwiger_oracle(petersen()) == 5
+    assert asked == [5]
