@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from functools import cache
+from math import comb
 from pathlib import Path
 
 import mpmath
@@ -214,6 +215,14 @@ def _cmd_tk_bound(args) -> tuple[str, dict]:
 
 def _cmd_gh(args) -> tuple[str, dict]:
     h = io.expect_plain(io.parse_graph(_read(args.file)))
+    # G(h) gets one vertex and two edges per non-edge of h: capped like an input
+    missing = comb(h.vertex_count, 2) - len(h.edges)
+    vertices, edges = h.vertex_count + missing, len(h.edges) + 2 * missing
+    if max(vertices, edges) > io.MAX_INPUT_SIZE:
+        raise InstanceTooLarge(
+            f"G(h) would have {vertices} vertices and {edges} edges"
+            f" (cap {io.MAX_INPUT_SIZE} each)"
+        )
     host, parts = constructions.build_gh(h)
     payload = {
         "input": io.graph_json(h),

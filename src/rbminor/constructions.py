@@ -17,7 +17,7 @@ from math import comb
 
 import mpmath
 
-from .errors import FormulaUndefined
+from .errors import FormulaUndefined, InstanceTooLarge
 from .graphs import Bipartition, ColoredGraph, Graph
 from .kernels import has_tk
 from .models import MinorModel
@@ -28,6 +28,10 @@ from .oracles import (
     hadwiger_oracle,
     tcl_oracle,
 )
+
+# bce_probability_bound cap: its doubles square s = n / sqrt(log2 n -
+# 3 log2 log2 n), which leaves their range between n = 2^516 and 2^518
+MAX_BOUND_N = 2**512
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4B7C15
@@ -149,10 +153,15 @@ def bce_probability_bound(n: int) -> BoundEvaluation:
     A negative value certifies the separation at order n: some graph h on
     n vertices exists whose subdivision host G(h) has no bipartite
     subgraph with a K_s minor, while h(G(h)) = n itself.  Raises
-    FormulaUndefined when the inner expression is not positive (small n).
+    FormulaUndefined when the inner expression is not positive (small n),
+    and InstanceTooLarge above MAX_BOUND_N, where a double overflows.
     """
     if n < 2:
         raise FormulaUndefined("n must be at least 2")
+    if n > MAX_BOUND_N:
+        raise InstanceTooLarge(
+            f"n has {n.bit_length()} bits; the float evaluation is capped at 2^512"
+        )
     radicand, s, log_bound = _bound_terms(
         n, math.log2, math.log, math.sqrt, lambda b, e: float(b) ** e
     )

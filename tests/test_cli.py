@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from rbminor import io as rio
 from rbminor.cli import MAX_TRIALS, main
-from rbminor.constructions import gh_model, random_coloring, random_graph
+from rbminor.constructions import MAX_BOUND_N, gh_model, random_coloring, random_graph
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
 from rbminor.models import MinorModel
 
@@ -293,6 +293,17 @@ def test_huge_header_exit_3_before_allocating(work, capsys):
     assert doc["payload"]["code"] == "InstanceTooLarge"
 
 
+def test_gh_refuses_a_huge_host_before_building(work, capsys):
+    # 7 bytes asking for C(1500, 2) = 1,124,250 subdivision vertices
+    f = work / "gh1500.txt"
+    f.write_text("1500 0\n")
+    started = time.perf_counter()
+    code, doc = run(capsys, "gh", str(f))
+    assert time.perf_counter() - started < 0.5
+    assert code == 3
+    assert doc["payload"]["code"] == "InstanceTooLarge"
+
+
 @pytest.mark.parametrize("argv", [
     ("tk-bound", "--t", "100000000"),
     ("tk-bound", "--t", str(rio.MAX_INPUT_SIZE + 1)),
@@ -302,6 +313,24 @@ def test_huge_header_exit_3_before_allocating(work, capsys):
 def test_huge_arguments_exit_3_before_any_work(capsys, argv):
     started = time.perf_counter()
     code, doc = run(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 3
+    assert doc["payload"]["code"] == "InstanceTooLarge"
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("n", [10**160, 10**308, 10**309, 10**400, MAX_BOUND_N + 1],
+                         ids=["1e160", "1e308", "1e309", "1e400", "over-cap"])
+def test_bound_refuses_n_beyond_the_float_range(capsys, n):
+    started = time.perf_counter()
+    code = main(["bound", "--n", str(n)])
+    doc = strict_json(capsys.readouterr().out)
     assert time.perf_counter() - started < 0.5
     assert code == 3
     assert doc["payload"]["code"] == "InstanceTooLarge"
@@ -317,6 +346,12 @@ def test_bound_command(capsys):
     code, doc = run(capsys, "bound", "--n", "256")
     assert code == 2
     assert doc["payload"]["code"] == "FormulaUndefined"
+
+    # the float evaluation stays finite and accurate up to the cap
+    for n in [2, 10**20, 10**150, MAX_BOUND_N]:
+        assert main(["bound", "--n", str(n)]) == 0
+        payload = strict_json(capsys.readouterr().out)["payload"]
+        assert payload["n"] == n and payload["relative_error"] < 1e-9
 
 
 def test_experiment_payload_and_jsonl(work, capsys):
@@ -449,7 +484,7 @@ def one_document(argv):
     stdout = out.getvalue()
     assert code in (0, 2, 3, 4), (argv, stdout)
     assert stdout.endswith("\n") and "\n" not in stdout[:-1], stdout
-    assert isinstance(json.loads(stdout), dict)
+    assert isinstance(strict_json(stdout), dict)
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +576,14 @@ def test_lift_answers_fuzzed_selectors_with_one_document(verify_inputs, selector
 def test_tk_build_answers_any_t_with_one_document(verify_inputs, t):
     d, _, _ = verify_inputs
     one_document(["tk-build", str(d / "c20.txt"), "--t", str(t)])
+
+
+@settings(max_examples=60)
+@given(st.integers() | st.integers(2, MAX_BOUND_N)
+       | st.sampled_from([MAX_BOUND_N, MAX_BOUND_N + 1, 10**309, -(10**309)])
+       | st.integers(0, 1200).map(lambda k: 10**k))
+def test_bound_answers_any_n_with_one_document(n):
+    one_document(["bound", "--n", str(n)])
 
 
 def test_argparse_rejects_unknown_usage():
