@@ -127,7 +127,7 @@ def test_partition_bound_is_an_upper_bound():
 def test_find_compatible_partition_meets_the_bound_by_a_kt_model(monkeypatch):
     # on K_{a,b} with sides differing by at most one, the split the
     # extraction leaves on a complete host, a K_bound model meets the bound
-    # (unbalanced sides it overshoots: K_{1,3} has bound 3, maximum 2), so
+    # (unbalanced sides it overshoots: K_{1,4} has bound 3, maximum 2), so
     # the answer comes from find_kt_model; find_compatible alone took
     # seconds on K_{6,6} with m = 7
     def refuse(*args):

@@ -515,7 +515,7 @@ def test_cli_answers_fuzzed_files_with_one_document(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "input.txt"
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    for command in ("certify", "pipeline", "aux"):
+    for command in ("certify", "pipeline", "aux", "gh"):
         out = StringIO()
         with redirect_stdout(out), redirect_stderr(StringIO()):
             code = main([command, str(path)])
