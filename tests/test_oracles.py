@@ -324,3 +324,38 @@ def test_petersen_needs_no_k6_search(monkeypatch):
     assert oracles._order_bound(petersen().adjacency_masks) == 5
     assert hadwiger_oracle(petersen()) == 5
     assert asked == [5]
+
+
+# (core size, t, found) of every find_kt_model call, in call order, that
+# the scans make: the kernel work a change to the scan must leave alone
+SCAN_QUERIES = {
+    ("max_bipartite_hadwiger", 0): [(9, 6, True), (6, 4, True), (7, 5, False), (6, 5, True)],
+    ("max_bipartite_hadwiger", 1): [(9, 6, True), (5, 4, True), (6, 5, True)],
+    ("gh", 7, 0): [(4, 4, True), (6, 5, True)],
+    ("gh", 7, 1): [(6, 4, True), (6, 5, True)],
+    ("gh", 7, 2): [(4, 4, True), (7, 5, False), (7, 5, False), (7, 5, True)],
+    ("gh", 8, 0): [(7, 5, True), (7, 6, False), (8, 6, False), (8, 6, False), (8, 6, True)],
+    ("gh", 8, 1): [(8, 6, False), (8, 5, True), (8, 6, False), (8, 6, True)],
+    ("gh", 8, 2): [(4, 4, True), (5, 5, True), (7, 6, False), (8, 6, False), (7, 6, False),
+                   (8, 6, False), (8, 6, False), (7, 6, True)],
+}
+
+
+@pytest.mark.parametrize("key", list(SCAN_QUERIES), ids=str)
+def test_scans_ask_the_kernel_the_pinned_queries(monkeypatch, key):
+    asked = []
+
+    def recording(n, masks, t):
+        found = find_kt_model(n, masks, t)
+        asked.append((n, t, found is not None))
+        return found
+
+    monkeypatch.setattr(oracles, "find_kt_model", recording)
+    if key[0] == "max_bipartite_hadwiger":
+        value, _ = max_bipartite_hadwiger(WORKLOAD_G9[key[1]])
+        assert value == 5
+    else:
+        _, n, k = key
+        value, _ = gh_max_bipartite_hadwiger(random_graph(n, 0.5, derive_seed(n, k)))
+        assert value == n - 2
+    assert asked == SCAN_QUERIES[key]
