@@ -23,7 +23,7 @@ from .kernels import has_tk
 from .models import MinorModel
 from .oracles import (
     _bipartitions,
-    _crossing_edges,
+    _crossing_masks,
     _max_hadwiger_scan,
     hadwiger_oracle,
     tcl_oracle,
@@ -190,23 +190,32 @@ def gh_max_bipartite_hadwiger(h: Graph) -> tuple[int, Bipartition]:
     A branch bipartition X of the n core vertices keeps the h-edges that
     cross it plus both half-edges of every subdivided pair inside a side;
     the best bipartite subgraph of G(h) arises this way, so only 2^(n-1)
-    candidates need scanning.  The returned bipartition covers the core
-    vertices only.
+    candidates need scanning.  Suppressing the subdivision vertex of each
+    kept pair of half-edges turns it back into an edge, which changes no
+    clique minor, so a bipartition (the side-1 vertex mask `ones`) is valued
+    on the graph on the n core vertices whose vertex v has adjacency mask
+
+        (N_h(v) & other side) | (non-neighbours of v & own side),
+
+    and G(h) itself is never built.  The returned bipartition covers the
+    core vertices only.
     """
     n = h.vertex_count
     if n == 0:
         return 0, Bipartition({})
-    non_edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not h.has_edge(u, v)
-    ]
-    return _max_hadwiger_scan(
-        h,
-        lambda side: _crossing_edges(h.edges, side)
-        + [e for e in non_edges if side[e[0]] == side[e[1]]],
-    )
+    adj = h.adjacency_masks
+    full = (1 << n) - 1
+    non = [full & ~mask & ~(1 << v) for v, mask in enumerate(adj)]
+
+    def kept(ones: int) -> list[int]:
+        zeros = full ^ ones
+        return [
+            adj[v] & zeros | non[v] & ones if ones >> v & 1
+            else adj[v] & ones | non[v] & zeros
+            for v in range(n)
+        ]
+
+    return _max_hadwiger_scan(adj, kept)
 
 
 @dataclass(frozen=True)
@@ -325,9 +334,9 @@ def topological_lb_construction(t: int) -> TopologicalLowerBound:
     verdict: bool | None = None
     if t <= 5:
         verdict = True
-        for side in _bipartitions(host):
-            crossing = Graph.from_edges(order, _crossing_edges(host.edges, side))
-            if has_tk(order, crossing.adjacency_masks, t):
+        adj = host.adjacency_masks
+        for ones in _bipartitions(adj):
+            if has_tk(order, _crossing_masks(adj, ones), t):
                 verdict = False
                 break
     bound = bipartite_tk_min_order(t)

@@ -5,11 +5,16 @@ All searches run on a series-reduced core (degree-0/1 vertices deleted,
 degree-2 vertices suppressed), which never changes the largest clique
 minor once it has at least four vertices; the few smaller cases are read
 off the original graph directly.  Size guards raise InstanceTooLarge
-instead of silently running forever.
+instead of silently running forever.  A `Graph` input is reduced on
+neighbour sets, in time and memory linear in its size, and its core is
+checked against the cap before the core's adjacency masks are built.
 
 The bipartition scans walk the 2^(n-1) bipartitions with vertex 0 pinned
-to side 0 in increasing mask order (bit i moves vertex i+1 to side 1),
-and return the best value with the first bipartition that attains it.
+to side 0 in increasing order of their side-1 vertex mask, and return the
+best value with the first bipartition that attains it.  A bipartition
+stays a mask from enumeration to kernel: its graph is a list of
+adjacency masks built from that mask, series-reduced and base-valued by
+the same steps on integers, and only the winner becomes a `Bipartition`.
 Two exact reductions shorten the walk without changing that answer:
 
 - Twin classes.  u and v are twins when N(u) - {v} = N(v) - {u}.  This
@@ -19,10 +24,12 @@ Two exact reductions shorten the walk without changing that answer:
   the two sides changes nothing either.  A mask whose per-class counts,
   or their mirror (class size - count), an earlier mask already had is
   skipped: its value equals that earlier mask's, so it is never the first
-  to attain a value.
+  to attain a value.  When every class is a single vertex no two masks
+  share their counts (vertex 0's count tells a mask from any mirror), so
+  the walk yields every mask without keeping counts.
 - Threshold.  With b the best value so far, a later bipartition matters
   only if its graph has a K_{b+1} minor.  One with fewer than
-  C(b+1, 2) edges is skipped, and once b is at least 3 the others are
+  C(b+1, 2) edges (half its masks' popcount) is skipped, and once b is at least 3 the others are
   searched for t > b only.  Every Hadwiger search asks only for t up to
   the order bound of its core on n vertices and e edges, which holds for
   any t pairwise-joined disjoint vertex sets, connected or not:
@@ -45,12 +52,12 @@ from __future__ import annotations
 
 from collections import deque
 from math import comb, isqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InstanceTooLarge
-from .graphs import Bipartition, ColoredGraph, Edge, Graph
+from .graphs import Bipartition, ColoredGraph, Graph
 from .kernels import find_kt_model, has_tk
-from .rb import RBBipartition, keeps
+from .rb import RBBipartition
 
 HADWIGER_CORE_CAP = 10
 TCL_CAP = 9
@@ -83,9 +90,44 @@ def _base_value(g: Graph) -> int:
     return 2
 
 
-def _series_reduce(g: Graph) -> tuple[int, list[int]]:
+def _mask_base_value(masks: Sequence[int]) -> int:
+    """_base_value of the graph whose vertex v has neighbour mask masks[v]."""
+    n = len(masks)
+    if n == 0:
+        return 0
+    edges = sum(mask.bit_count() for mask in masks) // 2
+    if not edges:
+        return 1
+    comps = 0
+    unseen = (1 << n) - 1
+    while unseen:
+        comps += 1
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+    return 3 if edges > n - comps else 2
+
+
+def _check_core(core_n: int, core_cap: int) -> None:
+    if core_n > core_cap:
+        raise InstanceTooLarge(
+            f"series-reduced core has {core_n} vertices (cap {core_cap})"
+        )
+
+
+def _series_reduce(g: Graph, core_cap: int) -> list[int]:
     """Delete degree <= 1 vertices and suppress degree-2 vertices, to a
-    fixed point, then compact.  Returns (core size, adjacency masks)."""
+    fixed point, then compact.  Returns the core's adjacency masks, after
+    checking its size against core_cap: the masks of a core on c vertices
+    take about c^2 / 8 bytes, so a large one is refused before they exist.
+    Works on neighbour sets, in time and memory linear in the input."""
     n = g.vertex_count
     nbr = [set(g.adjacency[v]) for v in range(n)]
     alive = [True] * n
@@ -117,12 +159,60 @@ def _series_reduce(g: Graph) -> tuple[int, list[int]]:
                     queue.append(u)
             nbr[v].clear()
     keep = [v for v in range(n) if alive[v]]
+    _check_core(len(keep), core_cap)
     relabel = {v: i for i, v in enumerate(keep)}
     masks = [0] * len(keep)
     for v in keep:
         for u in nbr[v]:
             masks[relabel[v]] |= 1 << relabel[u]
-    return len(keep), masks
+    return masks
+
+
+def _mask_series_reduce(masks: Sequence[int], core_cap: int) -> list[int]:
+    """_series_reduce of the graph whose vertex v has neighbour mask
+    masks[v]: the same steps in the same order, so the same core, on
+    integers; for the small graphs of the bipartition scans."""
+    n = len(masks)
+    nbr = list(masks)
+    alive = (1 << n) - 1
+    queue = deque(v for v in range(n) if nbr[v].bit_count() <= 2)
+    while queue:
+        v = queue.popleft()
+        bit = 1 << v
+        mv = nbr[v]
+        if not alive & bit or mv.bit_count() > 2:
+            continue
+        alive ^= bit
+        if mv & (mv - 1):  # degree 2
+            u, w = (mv & -mv).bit_length() - 1, mv.bit_length() - 1
+            nbr[u] ^= bit
+            nbr[w] ^= bit
+            if not nbr[u] >> w & 1:
+                nbr[u] |= 1 << w
+                nbr[w] |= 1 << u
+            else:  # parallel edge would arise; both endpoints lose one
+                if nbr[u].bit_count() <= 2:
+                    queue.append(u)
+                if nbr[w].bit_count() <= 2:
+                    queue.append(w)
+        elif mv:
+            u = mv.bit_length() - 1
+            nbr[u] ^= bit
+            if nbr[u].bit_count() <= 2:
+                queue.append(u)
+            nbr[v] = 0
+    _check_core(alive.bit_count(), core_cap)
+    if alive == (1 << n) - 1:
+        return nbr
+    keep = [v for v in range(n) if alive >> v & 1]
+    core = []
+    for v in keep:
+        mv, mask = nbr[v], 0
+        for i, u in enumerate(keep):
+            if mv >> u & 1:
+                mask |= 1 << i
+        core.append(mask)
+    return core
 
 
 def _clique_number(masks: Sequence[int], within: int | None = None) -> int:
@@ -161,15 +251,11 @@ def _order_bound(masks: Sequence[int]) -> int:
         t -= 1
 
 
-def _core_hadwiger(g: Graph, floor: int, core_cap: int = HADWIGER_CORE_CAP) -> int:
-    """Largest t > max(floor, 3) with a K_t minor in g, or floor if none."""
-    core_n, masks = _series_reduce(g)
-    if core_n > core_cap:
-        raise InstanceTooLarge(
-            f"series-reduced core has {core_n} vertices (cap {core_cap})"
-        )
-    for t in range(_order_bound(masks), max(floor, 3), -1):
-        if find_kt_model(core_n, masks, t) is not None:
+def _core_hadwiger(core: list[int], floor: int) -> int:
+    """Largest t > max(floor, 3) with a K_t minor in the series-reduced core
+    with these adjacency masks, or floor if none."""
+    for t in range(_order_bound(core), max(floor, 3), -1):
+        if find_kt_model(len(core), core, t) is not None:
             return t
     return floor
 
@@ -180,7 +266,7 @@ def hadwiger_oracle(g: Graph, core_cap: int = HADWIGER_CORE_CAP) -> int:
     The cap applies to the series-reduced core, not the input, so long
     subdivisions of small graphs stay cheap.
     """
-    return _core_hadwiger(g, _base_value(g), core_cap)
+    return _core_hadwiger(_series_reduce(g, core_cap), _base_value(g))
 
 
 def tcl_oracle(g: Graph, cap: int = TCL_CAP) -> int:
@@ -204,12 +290,9 @@ def tcl_oracle(g: Graph, cap: int = TCL_CAP) -> int:
     return 0
 
 
-def _bipartition_sides(n: int, mask: int) -> dict[int, int]:
-    # vertex 0 pinned to side 0; bit i of mask moves vertex i+1 across
-    side = {0: 0}
-    for v in range(1, n):
-        side[v] = (mask >> (v - 1)) & 1
-    return side
+def _sides(n: int, ones: int) -> dict[int, int]:
+    """Side of each of the n vertices, 1 for those in the vertex mask ones."""
+    return {v: (ones >> v) & 1 for v in range(n)}
 
 
 def _twin_classes(masks: Sequence[int]) -> list[int]:
@@ -227,53 +310,59 @@ def _twin_classes(masks: Sequence[int]) -> list[int]:
     return classes
 
 
-def _bipartitions(g: Graph) -> Iterator[dict[int, int]]:
-    """Sides of the bipartitions of g in increasing mask order, skipping
-    each one that a twin permutation or a side swap maps to an earlier one
-    (see the module docstring)."""
-    n = g.vertex_count
-    classes = _twin_classes(g.adjacency_masks)
+def _bipartitions(masks: Sequence[int]) -> Iterator[int]:
+    """Side-1 vertex masks of the bipartitions of the graph with these
+    adjacency masks, vertex 0 on side 0, in increasing order, skipping each
+    one that a twin permutation or a side swap maps to an earlier one (see
+    the module docstring)."""
+    n = len(masks)
+    classes = _twin_classes(masks)
+    if len(classes) == n:  # twin-free: no two masks share their counts
+        yield from range(0, 1 << n, 2)
+        return
     sizes = [members.bit_count() for members in classes]
     seen: set[tuple[int, ...]] = set()
-    for mask in range(1 << (n - 1)):
-        counts = tuple(((mask << 1) & members).bit_count() for members in classes)
+    for ones in range(0, 1 << n, 2):
+        counts = tuple((ones & members).bit_count() for members in classes)
         if counts in seen:
             continue
         seen.add(counts)
         seen.add(tuple(size - c for size, c in zip(sizes, counts)))
-        yield _bipartition_sides(n, mask)
+        yield ones
 
 
-def _crossing_edges(edges: Iterable[Edge], side: dict[int, int]) -> list[Edge]:
-    return [e for e in edges if side[e[0]] != side[e[1]]]
+def _crossing_masks(adj: Sequence[int], ones: int) -> list[int]:
+    """Adjacency masks of the edges of adj that cross the bipartition with
+    side-1 vertex mask ones."""
+    zeros = ~ones
+    return [mask & zeros if ones >> v & 1 else mask & ones for v, mask in enumerate(adj)]
 
 
 def _max_hadwiger_scan(
-    g: Graph,
-    subgraph_edges: Callable[[dict[int, int]], list[Edge]],
+    masks: Sequence[int],
+    subgraph: Callable[[int], list[int]],
     ceiling: int | None = None,
 ) -> tuple[int, Bipartition]:
-    """Best Hadwiger number of the graph on g's vertices with edges
-    subgraph_edges(side), over the bipartitions of g, with the first
-    bipartition attaining it; stops once the value reaches ceiling, an
-    upper bound on every such graph's Hadwiger number.  subgraph_edges must
-    give isomorphic graphs for two sides that a twin permutation of g or a
-    side swap maps to each other."""
-    n = g.vertex_count
+    """Best Hadwiger number of the graph with adjacency masks subgraph(ones),
+    over the bipartitions (side-1 vertex masks ones) of the graph with
+    adjacency masks masks, with the first bipartition attaining it; stops
+    once the value reaches ceiling, an upper bound on every such graph's
+    Hadwiger number.  subgraph must give isomorphic graphs for two
+    bipartitions that a twin permutation or a side swap maps to each other."""
     best = -1
-    best_side: dict[int, int] = {}
-    for side in _bipartitions(g):
-        edges = subgraph_edges(side)
-        if len(edges) < comb(best + 1, 2):
+    best_ones = 0
+    for ones in _bipartitions(masks):
+        sub = subgraph(ones)
+        if sum(map(int.bit_count, sub)) < 2 * comb(best + 1, 2):
             continue  # too few edges for a K_{best+1} minor
-        sub = Graph.from_edges(n, edges)
-        value = _core_hadwiger(sub, best) if best >= 3 else hadwiger_oracle(sub)
+        floor = best if best >= 3 else _mask_base_value(sub)
+        value = _core_hadwiger(_mask_series_reduce(sub, HADWIGER_CORE_CAP), floor)
         if value > best:
             best = value
-            best_side = side
+            best_ones = ones
             if best == ceiling:
                 break
-    return best, Bipartition(best_side)
+    return best, Bipartition(_sides(len(masks), best_ones))
 
 
 def max_bipartite_hadwiger(
@@ -291,7 +380,8 @@ def max_bipartite_hadwiger(
     if n == 0:
         return 0, Bipartition({})
     ceiling = min(hadwiger_oracle(g), n // 2 + 1)
-    return _max_hadwiger_scan(g, lambda side: _crossing_edges(g.edges, side), ceiling)
+    adj = g.adjacency_masks
+    return _max_hadwiger_scan(adj, lambda ones: _crossing_masks(adj, ones), ceiling)
 
 
 def max_rb_bipartite_oracle(
@@ -310,7 +400,7 @@ def max_rb_bipartite_oracle(
         return 0, RBBipartition({})
     adj = cg.graph.adjacency_masks
     red = cg.red_masks
-    kept = sum(keeps(color, 0, 0) for _, _, color in cg.colored_edges())
+    kept = cg.graph.edge_count - cg.red_count  # all on side 0: Blue kept
     table = [kept] * (1 << (n - 1))  # kept count per mask
     ones = 0  # vertices on side 1
     for k in range(1, len(table)):
@@ -324,7 +414,7 @@ def max_rb_bipartite_oracle(
         ones ^= 1 << v
         table[ones >> 1] = kept
     best = max(table)
-    return best, RBBipartition(_bipartition_sides(n, table.index(best)))
+    return best, RBBipartition(_sides(n, table.index(best) << 1))
 
 
 __all__ = [

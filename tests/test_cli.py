@@ -11,6 +11,7 @@ import json
 import shutil
 import subprocess
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from itertools import combinations
@@ -285,6 +286,27 @@ def test_oracle_too_large_exit_3(work, capsys):
     assert doc["payload"]["code"] == "InstanceTooLarge"
 
 
+def test_oracle_refuses_a_large_core_before_building_its_masks(work, capsys):
+    # a 3-regular Moebius ladder on 2 * 10^4 vertices: series reduction
+    # removes nothing, and the core's adjacency masks alone would take
+    # 50 MB (n^2 / 8 bytes), so the cap must be checked before they exist
+    n = 20_000
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    f = work / "ladder.txt"
+    f.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "hadwiger", str(f)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.endswith("\n") and "\n" not in out[:-1]
+    assert strict_json(out)["payload"]["code"] == "InstanceTooLarge"
+    assert peak < 30e6, peak  # 16 MB with the check first, 58 MB without
+
+
 def test_huge_header_exit_3_before_allocating(work, capsys):
     f = work / "huge.txt"
     f.write_text("50000000 1\n0 1 R\n")
@@ -475,14 +497,14 @@ def test_verify_tk_roundtrip_and_tamper(work, capsys):
     assert doc["payload"]["code"] == "ParseError"
 
 
-def one_document(argv):
-    """Run main(argv) and check that it exits 0, 2, 3 or 4 with exactly one
-    JSON object on stdout."""
+def one_document(argv, codes=(0, 2, 3, 4)):
+    """Run main(argv) and check that it exits with one of codes (never 5,
+    Internal) with exactly one strict-JSON object on stdout."""
     out = StringIO()
     with redirect_stdout(out), redirect_stderr(StringIO()):
         code = main(argv)
     stdout = out.getvalue()
-    assert code in (0, 2, 3, 4), (argv, stdout)
+    assert code in codes, (argv, stdout)
     assert stdout.endswith("\n") and "\n" not in stdout[:-1], stdout
     assert isinstance(strict_json(stdout), dict)
 
@@ -584,6 +606,15 @@ def test_tk_build_answers_any_t_with_one_document(verify_inputs, t):
        | st.integers(0, 1200).map(lambda k: 10**k))
 def test_bound_answers_any_n_with_one_document(n):
     one_document(["bound", "--n", str(n)])
+
+
+@settings(max_examples=40)
+@given(st.integers(-3, 9) | st.sampled_from([10, 11, 10**6, 10**18, -(10**18)]),
+       st.integers(-2, 2) | st.sampled_from([MAX_TRIALS + 1, 10**6, 10**18, -(10**18)]),
+       st.integers(-2, 2) | st.sampled_from([2**64, -(2**64), 10**30]))
+def test_experiment_answers_any_n_and_trials_with_one_document(n, trials, seed):
+    one_document(["experiment", "--n", str(n), "--trials", str(trials), "--seed", str(seed)],
+                 codes=(0, 2, 3))
 
 
 def test_argparse_rejects_unknown_usage():

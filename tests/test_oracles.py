@@ -359,3 +359,39 @@ def test_scans_ask_the_kernel_the_pinned_queries(monkeypatch, key):
         value, _ = gh_max_bipartite_hadwiger(random_graph(n, 0.5, derive_seed(n, k)))
         assert value == n - 2
     assert asked == SCAN_QUERIES[key]
+
+
+def graph_of(masks):
+    n = len(masks)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if masks[u] >> v & 1])
+
+
+def test_mask_reduction_matches_the_graph_reduction():
+    hosts = [Graph.path(n) for n in range(0, 11)] + [Graph.cycle(n) for n in range(3, 11)]
+    hosts += [Graph.complete(n) for n in range(11)] + [Graph.empty(5), octahedron(), petersen()]
+    hosts += [complete_bipartite(a, b) for a, b in [(1, 3), (2, 3), (2, 5), (3, 3), (4, 5)]]
+    hosts += [random_graph(n, p, derive_seed(65, 10 * n + k))
+              for n in range(1, 11) for k, p in enumerate((0.2, 0.3, 0.5, 0.7))]
+    # the crossing graphs and G(h) graphs the scans value, a few per host
+    graphs = list(hosts)
+    for k, g in enumerate(hosts):
+        n, adj = g.vertex_count, g.adjacency_masks
+        full = (1 << n) - 1
+        non = [full & ~m & ~(1 << v) for v, m in enumerate(adj)]
+        for ones in {0, (0x2C5 * (k + 1)) & full & ~1, (0x13A * (k + 3)) & full & ~1}:
+            cross = oracles._crossing_masks(adj, ones)
+            graphs.append(graph_of(cross))
+            non_cross = oracles._crossing_masks(non, ones)
+            graphs.append(graph_of([c | m & ~x for c, m, x in zip(cross, non, non_cross)]))
+    assert any(len(_twin_classes(g.adjacency_masks)) < g.vertex_count for g in graphs)
+    for g in graphs:
+        masks = g.adjacency_masks
+        assert oracles._mask_base_value(masks) == oracles._base_value(g), sorted(g.edges)
+        core = oracles._series_reduce(g, 10)
+        assert oracles._mask_series_reduce(masks, 10) == core, sorted(g.edges)
+        if len(core) > 2:  # both refuse a core above the cap, and only then
+            for reduce, arg in ((oracles._series_reduce, g), (oracles._mask_series_reduce, masks)):
+                with pytest.raises(InstanceTooLarge):
+                    reduce(arg, len(core) - 1)
+                assert reduce(arg, len(core)) == core
