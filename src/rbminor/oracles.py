@@ -400,17 +400,22 @@ def max_rb_bipartite_oracle(
         return 0, RBBipartition({})
     adj = cg.graph.adjacency_masks
     red = cg.red_masks
+    blue = [mask & ~r for mask, r in zip(adj, red)]
+    degree = [mask.bit_count() for mask in adj]
     kept = cg.graph.edge_count - cg.red_count  # all on side 0: Blue kept
     table = [kept] * (1 << (n - 1))  # kept count per mask
     ones = 0  # vertices on side 1
     for k in range(1, len(table)):
         # Gray code: step k moves the vertex of k's lowest set bit across,
-        # which toggles rb.keeps on each of its edges and on no other
+        # which toggles rb.keeps on each of its edges and on no other; of
+        # them, v keeps its Red edges to the other side and Blue ones to
+        # its own
         v = (k & -k).bit_length()
-        cross = adj[v] & (~ones if (ones >> v) & 1 else ones)
-        blue_v = adj[v] & ~red[v]
-        kept_at_v = (red[v] & cross).bit_count() + (blue_v & ~cross).bit_count()
-        kept += adj[v].bit_count() - 2 * kept_at_v
+        if ones >> v & 1:
+            kept_at_v = (red[v] & ~ones).bit_count() + (blue[v] & ones).bit_count()
+        else:
+            kept_at_v = (red[v] & ones).bit_count() + (blue[v] & ~ones).bit_count()
+        kept += degree[v] - 2 * kept_at_v
         ones ^= 1 << v
         table[ones >> 1] = kept
     best = max(table)
