@@ -29,10 +29,11 @@ Two exact reductions shorten the walk without changing that answer:
   the walk yields every mask without keeping counts.
 - Threshold.  With b the best value so far, a later bipartition matters
   only if its graph has a K_{b+1} minor.  One with fewer than
-  C(b+1, 2) edges (half its masks' popcount) is skipped, and once b is at least 3 the others are
-  searched for t > b only.  Every Hadwiger search asks only for t up to
-  the order bound of its core on n vertices and e edges, which holds for
-  any t pairwise-joined disjoint vertex sets, connected or not:
+  C(b+1, 2) edges (half its masks' popcount) is skipped, and once b is
+  at least 3 the others are searched for t > b only.  Every Hadwiger
+  search asks only for t up to the order bound of its core on n vertices
+  and e edges, which holds for any t pairwise-joined disjoint vertex
+  sets, connected or not:
   - C(t, 2) <= e: each pair of sets needs an edge of its own;
   - 2t <= n + omega(G[V_t]), V_t the vertices of degree >= t - 1: a
     singleton set {v} needs an edge to each of the other t - 1 sets, so v
@@ -200,7 +201,6 @@ def _mask_series_reduce(masks: Sequence[int], core_cap: int) -> list[int]:
             nbr[u] ^= bit
             if nbr[u].bit_count() <= 2:
                 queue.append(u)
-            nbr[v] = 0
     _check_core(alive.bit_count(), core_cap)
     if alive == (1 << n) - 1:
         return nbr
