@@ -12,6 +12,7 @@ running the code under test:
   one leftover vertex.
 """
 
+import hashlib
 from functools import cache
 from itertools import combinations
 
@@ -324,6 +325,35 @@ def test_petersen_needs_no_k6_search(monkeypatch):
     assert oracles._order_bound(petersen().adjacency_masks) == 5
     assert hadwiger_oracle(petersen()) == 5
     assert asked == [5]
+
+
+
+def test_oracle_answers_are_pinned():
+    # value and first side of every oracle on seeded G(n, p), n = 0..10 and
+    # p = 0.1..0.9 (the sparse draws give forests, cycles and empty cores),
+    # and the rows of the G(h) experiment without their wall clock
+    records = []
+    for n in range(11):
+        for k in range(9):
+            p = (k + 1) / 10
+            g = random_graph(n, p, derive_seed(66, 10 * n + k))
+            records.append(("hadwiger", n, p, hadwiger_oracle(g)))
+            cg = random_coloring(g, derive_seed(67, 10 * n + k))
+            answers = [("rb", max_rb_bipartite_oracle(cg))]
+            if n <= 9:
+                records.append(("tcl", n, p, tcl_oracle(g)))
+                answers.append(("bip", max_bipartite_hadwiger(g)))
+            if n <= 8:
+                answers.append(("gh", gh_max_bipartite_hadwiger(g)))
+            for name, (value, part) in answers:
+                records.append((name, n, p, value, list(part.side.items())))
+    for n in range(2, 8):
+        for row in theorem_lb_experiment(n, 2, 68).trials:
+            records.append(("lb", n, row.trial, row.seed, row.edge_count, row.hadwiger,
+                            row.best_bipartite))
+    assert len(records) == 471
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "f67a56ba2e7af1d182566e7c09333d5d5460e383d3f692af5a5a5c19837699fe"
 
 
 # (core size, t, found) of every find_kt_model call, in call order, that
