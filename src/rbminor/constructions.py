@@ -201,8 +201,6 @@ def gh_max_bipartite_hadwiger(h: Graph) -> tuple[int, Bipartition]:
     core vertices only.
     """
     n = h.vertex_count
-    if n == 0:
-        return 0, Bipartition({})
     adj = h.adjacency_masks
     full = (1 << n) - 1
     non = [full & ~mask & ~(1 << v) for v, mask in enumerate(adj)]

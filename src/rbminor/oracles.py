@@ -3,9 +3,16 @@ number, and maximum Hadwiger numbers over bipartite subgraphs.
 
 All searches run on a series-reduced core (degree-0/1 vertices deleted,
 degree-2 vertices suppressed), which never changes the largest clique
-minor once it has at least four vertices; the few smaller cases are read
-off the original graph directly.  Size guards raise InstanceTooLarge
-instead of silently running forever.  A `Graph` input is reduced on
+minor once it has at least four vertices.  The smaller cases, the base
+value (0 with no vertex, 1 with no edge, 3 with a cycle, else 2), come
+from the same reduction: the graph has a cycle iff some suppression
+would make a parallel edge or the core is nonempty.  Deleting a vertex
+of degree <= 1, and suppressing a degree-2 vertex into a new edge, both
+keep the cycle rank |E| - |V| + #components, which is 0 on no vertices,
+so a reduction to an empty core that takes neither other step started
+from a forest; a parallel edge needs a triangle, and a core has minimum
+degree 3, so either one shows a cycle.  Size guards raise
+InstanceTooLarge instead of silently running forever.  A `Graph` input is reduced on
 neighbour sets, in time and memory linear in its size, and its core is
 checked against the cap before the core's adjacency masks are built.
 
@@ -46,7 +53,8 @@ Two exact reductions shorten the walk without changing that answer:
   since its crossing graphs are bipartite (omega <= 2).
 
 `max_rb_bipartite_oracle` has no such reduction; it counts every
-partition in Gray-code order, one vertex flip per step.
+partition in the same increasing mask order, each from the one without
+its lowest side-1 vertex.
 """
 
 from __future__ import annotations
@@ -65,57 +73,6 @@ TCL_CAP = 9
 BIP_HADWIGER_CAP = 10
 
 
-def _base_value(g: Graph) -> int:
-    """Largest clique minor of size <= 3: cycle -> 3, edge -> 2, vertex -> 1."""
-    n = g.vertex_count
-    if n == 0:
-        return 0
-    if not g.edges:
-        return 1
-    comps = 0
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        comps += 1
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    queue.append(y)
-    if len(g.edges) > n - comps:  # some component carries a cycle
-        return 3
-    return 2
-
-
-def _mask_base_value(masks: Sequence[int]) -> int:
-    """_base_value of the graph whose vertex v has neighbour mask masks[v]."""
-    n = len(masks)
-    if n == 0:
-        return 0
-    edges = sum(mask.bit_count() for mask in masks) // 2
-    if not edges:
-        return 1
-    comps = 0
-    unseen = (1 << n) - 1
-    while unseen:
-        comps += 1
-        comp = frontier = unseen & -unseen
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~comp
-            comp |= frontier
-        unseen &= ~comp
-    return 3 if edges > n - comps else 2
-
-
 def _check_core(core_n: int, core_cap: int) -> None:
     if core_n > core_cap:
         raise InstanceTooLarge(
@@ -123,15 +80,18 @@ def _check_core(core_n: int, core_cap: int) -> None:
         )
 
 
-def _series_reduce(g: Graph, core_cap: int) -> list[int]:
+def _series_reduce(g: Graph, core_cap: int) -> tuple[list[int], int]:
     """Delete degree <= 1 vertices and suppress degree-2 vertices, to a
     fixed point, then compact.  Returns the core's adjacency masks, after
-    checking its size against core_cap: the masks of a core on c vertices
-    take about c^2 / 8 bytes, so a large one is refused before they exist.
-    Works on neighbour sets, in time and memory linear in the input."""
+    checking its size against core_cap (the masks of a core on c vertices
+    take about c^2 / 8 bytes, so a large one is refused before they
+    exist), and g's base value, read off the steps taken (see the module
+    docstring).  Works on neighbour sets, in time and memory linear in the
+    input."""
     n = g.vertex_count
     nbr = [set(g.adjacency[v]) for v in range(n)]
     alive = [True] * n
+    cycle = False
     queue = deque(v for v in range(n) if len(nbr[v]) <= 2)
     while queue:
         v = queue.popleft()
@@ -149,6 +109,7 @@ def _series_reduce(g: Graph, core_cap: int) -> list[int]:
                 nbr[u].add(w)
                 nbr[w].add(u)
             else:  # parallel edge would arise; both endpoints lose one
+                cycle = True
                 if len(nbr[u]) <= 2:
                     queue.append(u)
                 if len(nbr[w]) <= 2:
@@ -166,16 +127,17 @@ def _series_reduce(g: Graph, core_cap: int) -> list[int]:
     for v in keep:
         for u in nbr[v]:
             masks[relabel[v]] |= 1 << relabel[u]
-    return masks
+    return masks, 3 if cycle or keep else 2 if g.edges else min(n, 1)
 
 
-def _mask_series_reduce(masks: Sequence[int], core_cap: int) -> list[int]:
+def _mask_series_reduce(masks: Sequence[int], core_cap: int) -> tuple[list[int], int]:
     """_series_reduce of the graph whose vertex v has neighbour mask
-    masks[v]: the same steps in the same order, so the same core, on
-    integers; for the small graphs of the bipartition scans."""
+    masks[v]: the same steps in the same order, so the same core and base
+    value, on integers; for the small graphs of the bipartition scans."""
     n = len(masks)
     nbr = list(masks)
     alive = (1 << n) - 1
+    cycle = False
     queue = deque(v for v in range(n) if nbr[v].bit_count() <= 2)
     while queue:
         v = queue.popleft()
@@ -192,6 +154,7 @@ def _mask_series_reduce(masks: Sequence[int], core_cap: int) -> list[int]:
                 nbr[u] |= 1 << w
                 nbr[w] |= 1 << u
             else:  # parallel edge would arise; both endpoints lose one
+                cycle = True
                 if nbr[u].bit_count() <= 2:
                     queue.append(u)
                 if nbr[w].bit_count() <= 2:
@@ -202,8 +165,9 @@ def _mask_series_reduce(masks: Sequence[int], core_cap: int) -> list[int]:
             if nbr[u].bit_count() <= 2:
                 queue.append(u)
     _check_core(alive.bit_count(), core_cap)
+    base = 3 if cycle or alive else 2 if any(masks) else min(n, 1)
     if alive == (1 << n) - 1:
-        return nbr
+        return nbr, base
     keep = [v for v in range(n) if alive >> v & 1]
     core = []
     for v in keep:
@@ -212,7 +176,7 @@ def _mask_series_reduce(masks: Sequence[int], core_cap: int) -> list[int]:
             if mv >> u & 1:
                 mask |= 1 << i
         core.append(mask)
-    return core
+    return core, base
 
 
 def _clique_number(masks: Sequence[int], within: int | None = None) -> int:
@@ -266,7 +230,7 @@ def hadwiger_oracle(g: Graph, core_cap: int = HADWIGER_CORE_CAP) -> int:
     The cap applies to the series-reduced core, not the input, so long
     subdivisions of small graphs stay cheap.
     """
-    return _core_hadwiger(_series_reduce(g, core_cap), _base_value(g))
+    return _core_hadwiger(*_series_reduce(g, core_cap))
 
 
 def tcl_oracle(g: Graph, cap: int = TCL_CAP) -> int:
@@ -274,8 +238,6 @@ def tcl_oracle(g: Graph, cap: int = TCL_CAP) -> int:
     n = g.vertex_count
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
-    if n == 0:
-        return 0
     masks = g.adjacency_masks
     degs = sorted((g.degree(v) for v in range(n)), reverse=True)
     ub = 0
@@ -355,8 +317,8 @@ def _max_hadwiger_scan(
         sub = subgraph(ones)
         if sum(map(int.bit_count, sub)) < 2 * comb(best + 1, 2):
             continue  # too few edges for a K_{best+1} minor
-        floor = best if best >= 3 else _mask_base_value(sub)
-        value = _core_hadwiger(_mask_series_reduce(sub, HADWIGER_CORE_CAP), floor)
+        core, base = _mask_series_reduce(sub, HADWIGER_CORE_CAP)
+        value = _core_hadwiger(core, max(best, base))
         if value > best:
             best = value
             best_ones = ones
@@ -377,8 +339,6 @@ def max_bipartite_hadwiger(
     n = g.vertex_count
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
-    if n == 0:
-        return 0, Bipartition({})
     ceiling = min(hadwiger_oracle(g), n // 2 + 1)
     adj = g.adjacency_masks
     return _max_hadwiger_scan(adj, lambda ones: _crossing_masks(adj, ones), ceiling)
@@ -397,27 +357,23 @@ def max_rb_bipartite_oracle(
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
     if n == 0:
-        return 0, RBBipartition({})
+        return 0, RBBipartition({})  # no vertex 0 to pin
     adj = cg.graph.adjacency_masks
     red = cg.red_masks
     blue = [mask & ~r for mask, r in zip(adj, red)]
     degree = [mask.bit_count() for mask in adj]
-    kept = cg.graph.edge_count - cg.red_count  # all on side 0: Blue kept
-    table = [kept] * (1 << (n - 1))  # kept count per mask
-    ones = 0  # vertices on side 1
-    for k in range(1, len(table)):
-        # Gray code: step k moves the vertex of k's lowest set bit across,
-        # which toggles rb.keeps on each of its edges and on no other; of
-        # them, v keeps its Red edges to the other side and Blue ones to
-        # its own
-        v = (k & -k).bit_length()
-        if ones >> v & 1:
-            kept_at_v = (red[v] & ~ones).bit_count() + (blue[v] & ones).bit_count()
-        else:
-            kept_at_v = (red[v] & ones).bit_count() + (blue[v] & ~ones).bit_count()
-        kept += degree[v] - 2 * kept_at_v
-        ones ^= 1 << v
-        table[ones >> 1] = kept
+    # kept count per mask m of vertices 1..n-1 on side 1; all on side 0
+    # keeps the Blue edges
+    table = [cg.graph.edge_count - cg.red_count] * (1 << (n - 1))
+    for m in range(1, len(table)):
+        # m moves v, its lowest vertex, to side 1 from m ^ low, which
+        # toggles rb.keeps on each of v's edges and on no other; of them,
+        # v kept its Red edges to side 1 and Blue ones to side 0
+        low = m & -m
+        v = low.bit_length()
+        ones = (m ^ low) << 1
+        kept_at_v = (red[v] & ones).bit_count() + (blue[v] & ~ones).bit_count()
+        table[m] = table[m ^ low] + degree[v] - 2 * kept_at_v
     best = max(table)
     return best, RBBipartition(_sides(n, table.index(best) << 1))
 

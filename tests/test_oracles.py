@@ -52,6 +52,9 @@ def complete_bipartite(a, b):
 
 def test_hadwiger_base_cases():
     assert hadwiger_oracle(Graph.empty(0)) == 0
+    for scan in (max_bipartite_hadwiger, gh_max_bipartite_hadwiger):
+        value, part = scan(Graph.empty(0))
+        assert (value, part.side) == (0, {})
     assert hadwiger_oracle(Graph.empty(3)) == 1
     assert hadwiger_oracle(Graph.from_edges(2, [(0, 1)])) == 2
     assert hadwiger_oracle(Graph.path(6)) == 2
@@ -397,6 +400,29 @@ def graph_of(masks):
                                 if masks[u] >> v & 1])
 
 
+def reference_base_value(g):
+    """Largest clique minor of order <= 3, by a component count: 0 with no
+    vertex, 1 with no edge, 3 when some component carries a cycle, else 2."""
+    n = g.vertex_count
+    if n == 0:
+        return 0
+    if not g.edges:
+        return 1
+    comps, seen = 0, set()
+    for s in range(n):
+        if s in seen:
+            continue
+        comps += 1
+        seen.add(s)
+        stack = [s]
+        while stack:
+            for y in g.adjacency[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return 3 if len(g.edges) > n - comps else 2
+
+
 def test_mask_reduction_matches_the_graph_reduction():
     hosts = [Graph.path(n) for n in range(0, 11)] + [Graph.cycle(n) for n in range(3, 11)]
     hosts += [Graph.complete(n) for n in range(11)] + [Graph.empty(5), octahedron(), petersen()]
@@ -415,13 +441,18 @@ def test_mask_reduction_matches_the_graph_reduction():
             non_cross = oracles._crossing_masks(non, ones)
             graphs.append(graph_of([c | m & ~x for c, m, x in zip(cross, non, non_cross)]))
     assert any(len(_twin_classes(g.adjacency_masks)) < g.vertex_count for g in graphs)
+    # and every graph on at most 6 vertices
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        graphs += [Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+                   for bits in range(1 << len(pairs))]
     for g in graphs:
         masks = g.adjacency_masks
-        assert oracles._mask_base_value(masks) == oracles._base_value(g), sorted(g.edges)
-        core = oracles._series_reduce(g, 10)
-        assert oracles._mask_series_reduce(masks, 10) == core, sorted(g.edges)
+        core, base = oracles._series_reduce(g, 10)
+        assert base == reference_base_value(g), sorted(g.edges)
+        assert oracles._mask_series_reduce(masks, 10) == (core, base), sorted(g.edges)
         if len(core) > 2:  # both refuse a core above the cap, and only then
             for reduce, arg in ((oracles._series_reduce, g), (oracles._mask_series_reduce, masks)):
                 with pytest.raises(InstanceTooLarge):
                     reduce(arg, len(core) - 1)
-                assert reduce(arg, len(core)) == core
+                assert reduce(arg, len(core)) == (core, base)
