@@ -213,7 +213,7 @@ def gh_max_bipartite_hadwiger(h: Graph) -> tuple[int, Bipartition]:
             for v in range(n)
         ]
 
-    return _max_hadwiger_scan(adj, kept)
+    return _max_hadwiger_scan(adj, kept, n)  # no K_{n+1} minor on n vertices
 
 
 @dataclass(frozen=True)

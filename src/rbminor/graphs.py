@@ -12,15 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InstanceTooLarge
-from .kernels import all_simple_cycles
-
 RED = "R"
 BLUE = "B"
 
 Edge = tuple[int, int]
-
-CYCLE_ENUM_CAP = 16
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -338,19 +333,3 @@ def _tree_cycle(u: int, v: int, parent: dict[int, int], depth: dict[int, int]) -
         b = parent[b]
     up.append(a)
     return tuple(up + down[::-1])
-
-
-def enumerate_cycles(g: Graph, max_vertices: int = CYCLE_ENUM_CAP) -> list[tuple[int, ...]]:
-    """All simple cycles, each once up to rotation and reflection.
-
-    Cycles come back as vertex tuples starting at their smallest vertex,
-    oriented toward the smaller neighbour, sorted by (length, sequence).
-    Refuses graphs larger than min(max_vertices, 16).
-    """
-    cap = min(max_vertices, CYCLE_ENUM_CAP)
-    if g.vertex_count > cap:
-        raise InstanceTooLarge(
-            f"{g.vertex_count} vertices exceeds cycle-enumeration cap {cap}"
-        )
-    cycles = all_simple_cycles(g.vertex_count, list(g.adjacency_masks))
-    return sorted(cycles, key=lambda c: (len(c), c))

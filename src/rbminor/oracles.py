@@ -12,9 +12,10 @@ keep the cycle rank |E| - |V| + #components, which is 0 on no vertices,
 so a reduction to an empty core that takes neither other step started
 from a forest; a parallel edge needs a triangle, and a core has minimum
 degree 3, so either one shows a cycle.  Size guards raise
-InstanceTooLarge instead of silently running forever.  A `Graph` input is reduced on
-neighbour sets, in time and memory linear in its size, and its core is
-checked against the cap before the core's adjacency masks are built.
+InstanceTooLarge instead of silently running forever.  A `Graph` input is
+reduced on neighbour sets built from its edges, in time and memory linear
+in its size, and its core is checked against the cap before the core's
+adjacency masks are built.
 
 The bipartition scans walk the 2^(n-1) bipartitions with vertex 0 pinned
 to side 0 in increasing order of their side-1 vertex mask, and return the
@@ -22,7 +23,7 @@ best value with the first bipartition that attains it.  A bipartition
 stays a mask from enumeration to kernel: its graph is a list of
 adjacency masks built from that mask, series-reduced and base-valued by
 the same steps on integers, and only the winner becomes a `Bipartition`.
-Two exact reductions shorten the walk without changing that answer:
+Three exact reductions shorten the walk without changing that answer:
 
 - Twin classes.  u and v are twins when N(u) - {v} = N(v) - {u}.  This
   is an equivalence whose classes are cliques or independent sets, and
@@ -49,12 +50,21 @@ Two exact reductions shorten the walk without changing that answer:
     shrinks as t grows, so the t that pass are all t up to one value, at
     most floor((n + omega) / 2).  On the 3-regular Petersen graph V_6 is
     empty, so the bound is 5, not 6.
-  The scan of `max_bipartite_hadwiger` stops at min(h(g), n // 2 + 1),
-  since its crossing graphs are bipartite (omega <= 2).
+- Ceiling.  A scan knows up front a ceiling on every value it can find:
+  n for the G(h) scan, whose graphs have n vertices, and
+  min(h(g), n // 2 + 1) for `max_bipartite_hadwiger`, whose crossing
+  graphs are bipartite subgraphs of g (omega <= 2 in the order bound).
+  That ceiling is one search of g's core from min(order bound,
+  n // 2 + 1) down, K_t minors being downward closed in t.  No search of
+  the scan asks for a t above the ceiling, and the scan stops once its
+  value reaches it.
 
 `max_rb_bipartite_oracle` has no such reduction; it counts every
-partition in the same increasing mask order, each from the one without
-its lowest side-1 vertex.
+partition, in the same increasing mask order, in a table built by
+doubling.  The masks whose highest vertex is v follow those of the
+vertices below v, each the count of its mask without v plus the change
+that moving v to side 1 makes; that list of changes is built by doubling
+too, once per vertex below v.
 """
 
 from __future__ import annotations
@@ -89,7 +99,10 @@ def _series_reduce(g: Graph, core_cap: int) -> tuple[list[int], int]:
     docstring).  Works on neighbour sets, in time and memory linear in the
     input."""
     n = g.vertex_count
-    nbr = [set(g.adjacency[v]) for v in range(n)]
+    nbr: list[set[int]] = [set() for _ in range(n)]
+    for u, v in g.edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
     alive = [True] * n
     cycle = False
     queue = deque(v for v in range(n) if len(nbr[v]) <= 2)
@@ -215,10 +228,12 @@ def _order_bound(masks: Sequence[int]) -> int:
         t -= 1
 
 
-def _core_hadwiger(core: list[int], floor: int) -> int:
-    """Largest t > max(floor, 3) with a K_t minor in the series-reduced core
-    with these adjacency masks, or floor if none."""
-    for t in range(_order_bound(core), max(floor, 3), -1):
+def _core_hadwiger(core: list[int], floor: int, top: int) -> int:
+    """Largest t <= top with t > max(floor, 3) and a K_t minor in the
+    series-reduced core with these adjacency masks, or floor if none.  The
+    search runs down from min(top, order bound), so it never asks for a t
+    above top."""
+    for t in range(min(top, _order_bound(core)), max(floor, 3), -1):
         if find_kt_model(len(core), core, t) is not None:
             return t
     return floor
@@ -230,7 +245,8 @@ def hadwiger_oracle(g: Graph, core_cap: int = HADWIGER_CORE_CAP) -> int:
     The cap applies to the series-reduced core, not the input, so long
     subdivisions of small graphs stay cheap.
     """
-    return _core_hadwiger(*_series_reduce(g, core_cap))
+    core, base = _series_reduce(g, core_cap)
+    return _core_hadwiger(core, base, len(core))
 
 
 def tcl_oracle(g: Graph, cap: int = TCL_CAP) -> int:
@@ -301,16 +317,15 @@ def _crossing_masks(adj: Sequence[int], ones: int) -> list[int]:
 
 
 def _max_hadwiger_scan(
-    masks: Sequence[int],
-    subgraph: Callable[[int], list[int]],
-    ceiling: int | None = None,
+    masks: Sequence[int], subgraph: Callable[[int], list[int]], ceiling: int
 ) -> tuple[int, Bipartition]:
     """Best Hadwiger number of the graph with adjacency masks subgraph(ones),
     over the bipartitions (side-1 vertex masks ones) of the graph with
-    adjacency masks masks, with the first bipartition attaining it; stops
-    once the value reaches ceiling, an upper bound on every such graph's
-    Hadwiger number.  subgraph must give isomorphic graphs for two
-    bipartitions that a twin permutation or a side swap maps to each other."""
+    adjacency masks masks, with the first bipartition attaining it.  ceiling
+    is an upper bound on every such graph's Hadwiger number: no search asks
+    for a t above it, and the scan stops once the value reaches it.
+    subgraph must give isomorphic graphs for two bipartitions that a twin
+    permutation or a side swap maps to each other."""
     best = -1
     best_ones = 0
     for ones in _bipartitions(masks):
@@ -318,7 +333,7 @@ def _max_hadwiger_scan(
         if sum(map(int.bit_count, sub)) < 2 * comb(best + 1, 2):
             continue  # too few edges for a K_{best+1} minor
         core, base = _mask_series_reduce(sub, HADWIGER_CORE_CAP)
-        value = _core_hadwiger(core, max(best, base))
+        value = _core_hadwiger(core, max(best, base), ceiling)
         if value > best:
             best = value
             best_ones = ones
@@ -339,8 +354,10 @@ def max_bipartite_hadwiger(
     n = g.vertex_count
     if n > cap:
         raise InstanceTooLarge(f"{n} vertices (cap {cap})")
-    ceiling = min(hadwiger_oracle(g), n // 2 + 1)
     adj = g.adjacency_masks
+    # min(h(g), top), clamped where the base value 3 of K_3 exceeds top = 2
+    top = n // 2 + 1
+    ceiling = min(_core_hadwiger(*_mask_series_reduce(adj, HADWIGER_CORE_CAP), top), top)
     return _max_hadwiger_scan(adj, lambda ones: _crossing_masks(adj, ones), ceiling)
 
 
@@ -359,21 +376,21 @@ def max_rb_bipartite_oracle(
     if n == 0:
         return 0, RBBipartition({})  # no vertex 0 to pin
     adj = cg.graph.adjacency_masks
-    red = cg.red_masks
-    blue = [mask & ~r for mask, r in zip(adj, red)]
-    degree = [mask.bit_count() for mask in adj]
-    # kept count per mask m of vertices 1..n-1 on side 1; all on side 0
-    # keeps the Blue edges
-    table = [cg.graph.edge_count - cg.red_count] * (1 << (n - 1))
-    for m in range(1, len(table)):
-        # m moves v, its lowest vertex, to side 1 from m ^ low, which
-        # toggles rb.keeps on each of v's edges and on no other; of them,
-        # v kept its Red edges to side 1 and Blue ones to side 0
-        low = m & -m
-        v = low.bit_length()
-        ones = (m ^ low) << 1
-        kept_at_v = (red[v] & ones).bit_count() + (blue[v] & ~ones).bit_count()
-        table[m] = table[m ^ low] + degree[v] - 2 * kept_at_v
+    # kept count per mask m of vertices 1..n-1 on side 1 (bit i for vertex
+    # i + 1), by doubling: all on side 0 keeps the Blue edges, and the
+    # masks whose highest vertex is v follow those of vertices 1..v-1
+    table = [cg.graph.edge_count - cg.red_count]
+    for v, red in enumerate(cg.red_masks[1:], 1):
+        # moving v to side 1 toggles rb.keeps on v's edges and on no other,
+        # so it adds deg(v) - 2 kept_at_v, v having kept its Blue edges to
+        # side 0 and its Red ones to side 1: deg(v) - 2 blue_deg(v) with
+        # all of 1..v-1 on side 0, and w more for each u of them on side 1
+        blue = adj[v] & ~red
+        delta = [adj[v].bit_count() - 2 * blue.bit_count()]
+        for u in range(1, v):
+            w = 2 * ((blue >> u & 1) - (red >> u & 1))
+            delta += [d + w for d in delta] if w else delta
+        table += [t + d for t, d in zip(table, delta)]
     best = max(table)
     return best, RBBipartition(_sides(n, table.index(best) << 1))
 

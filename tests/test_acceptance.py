@@ -40,7 +40,6 @@ from rbminor.graphs import (
     Graph,
     OddCycle,
     edge_key,
-    enumerate_cycles,
     is_bipartite,
 )
 from rbminor.models import (
@@ -59,6 +58,8 @@ from rbminor.topological import (
     required_host_order,
     validate_topological_model,
 )
+
+from cycle_enum import enumerate_cycles
 
 
 def report(num, name, ok, detail):

@@ -9,9 +9,10 @@ from rbminor.graphs import (
     Graph,
     OddCycle,
     edge_key,
-    enumerate_cycles,
     is_bipartite,
 )
+
+from cycle_enum import enumerate_cycles
 
 
 def test_edge_key_normalises():

@@ -224,6 +224,39 @@ def test_bipartite_scans_match_the_plain_loop():
         same_answer(gh_max_bipartite_hadwiger(h), reference_gh(h))
 
 
+def per_mask_rb(cg):
+    """Kept count of every partition, each mask m from m without its lowest
+    side-1 vertex v, which toggles rb.keeps on v's edges and on no other (v
+    kept its Red edges to side 1 and Blue ones to side 0); best value, first
+    side attaining it, as reference_scan gives them."""
+    n = cg.graph.vertex_count
+    adj, red = cg.graph.adjacency_masks, cg.red_masks
+    blue = [mask & ~r for mask, r in zip(adj, red)]
+    table = [cg.graph.edge_count - cg.red_count] * (1 << (n - 1))
+    for m in range(1, len(table)):
+        low = m & -m
+        v = low.bit_length()
+        ones = (m ^ low) << 1
+        kept_at_v = (red[v] & ones).bit_count() + (blue[v] & ~ones).bit_count()
+        table[m] = table[m ^ low] + adj[v].bit_count() - 2 * kept_at_v
+    best = max(table)
+    mask = table.index(best)
+    return best, {0: 0, **{v: (mask >> (v - 1)) & 1 for v in range(1, n)}}
+
+
+def test_rb_table_matches_the_references_up_to_the_cap():
+    # the plain loop up to 13 vertices; from 14 to 16 (the cap) the per-mask
+    # recurrence, which the plain loop matches on the smaller hosts
+    for n in range(9, 17):
+        for k, (p, red) in enumerate(((0.3, 0.5), (0.6, 0.5), (0.8, 0.3))):
+            g = random_graph(n, p, derive_seed(69, 10 * n + k))
+            cg = random_coloring(g, derive_seed(70, 10 * n + k), red)
+            want = per_mask_rb(cg)
+            if n <= 13:
+                assert want == reference_rb(cg)
+            same_answer(max_rb_bipartite_oracle(cg), want)
+
+
 # The benchmark's two fixed oracle_exact hosts, G(9, 0.6) and G(9, 0.7).
 WORKLOAD_G9 = [
     Graph.from_edges(9, [
@@ -299,17 +332,21 @@ def test_oracles_never_ask_for_t_above_the_order_bound(monkeypatch):
         return max(t for t in range(n + 1) if passes(t))
 
     asked = []
+    top = None  # n // 2 + 1 while max_bipartite_hadwiger runs on n vertices
 
     def checked(n, masks, t):
         asked.append(t)
         assert t <= order_bound(tuple(masks)), (masks, t)
+        assert top is None or t <= top, (masks, t)
         return find_kt_model(n, masks, t)
 
     monkeypatch.setattr(oracles, "find_kt_model", checked)
     for g in WORKLOAD_G9 + [random_graph(8, p, derive_seed(64, k))
                             for k, p in enumerate((0.3, 0.5, 0.7, 0.9))]:
         hadwiger_oracle(g)
+        top = g.vertex_count // 2 + 1
         max_bipartite_hadwiger(g)
+        top = None
     gh_max_bipartite_hadwiger(random_graph(7, 0.5, 5))
     theorem_lb_experiment(6, 2, 7)
     assert asked
@@ -362,8 +399,8 @@ def test_oracle_answers_are_pinned():
 # (core size, t, found) of every find_kt_model call, in call order, that
 # the scans make: the kernel work a change to the scan must leave alone
 SCAN_QUERIES = {
-    ("max_bipartite_hadwiger", 0): [(9, 6, True), (6, 4, True), (7, 5, False), (6, 5, True)],
-    ("max_bipartite_hadwiger", 1): [(9, 6, True), (5, 4, True), (6, 5, True)],
+    ("max_bipartite_hadwiger", 0): [(9, 5, True), (6, 4, True), (7, 5, False), (6, 5, True)],
+    ("max_bipartite_hadwiger", 1): [(9, 5, True), (5, 4, True), (6, 5, True)],
     ("gh", 7, 0): [(4, 4, True), (6, 5, True)],
     ("gh", 7, 1): [(6, 4, True), (6, 5, True)],
     ("gh", 7, 2): [(4, 4, True), (7, 5, False), (7, 5, False), (7, 5, True)],

@@ -20,7 +20,6 @@ from rbminor.graphs import (
     ColoredGraph,
     Graph,
     edge_key,
-    enumerate_cycles,
 )
 from rbminor.rb import (
     RBBipartition,
@@ -31,6 +30,8 @@ from rbminor.rb import (
     rb_certify,
     rb_extract_half,
 )
+
+from cycle_enum import enumerate_cycles
 
 
 def has_r_odd_cycle(cg):
