@@ -204,6 +204,44 @@ def test_pipeline_payloads_on_graph_and_model_files(work, capsys, key):
     assert digest == PIPELINE_DIGESTS[key]
 
 
+def aux_model_family(family):
+    """Model files behind AUX_LIFT_DIGESTS: singleton parts of K_n
+    (n = 3..20), G(h) models of h = G(n, 0.5) with seed n (n = 6..16), and
+    domino_model()."""
+    if family == "k":
+        return [MinorModel.create(Graph.complete(n), [(v,) for v in range(n)])
+                for n in range(3, 21)]
+    if family == "gh":
+        return [gh_model(random_graph(n, 0.5, n))[1] for n in range(6, 17)]
+    return [domino_model()]
+
+
+# SHA-256 over the normalised `aux FILE` and `lift FILE all` documents of
+# each family, one document per line
+AUX_LIFT_DIGESTS = {
+    ("k", "aux"): "ae1da4297c15c4e815242055fd091b1840d150436b8167a982715910c421c9fe",
+    ("k", "lift"): "a7c1764bd1c46defe1541edaeb152c527b493c5664ffb457d8a629dc24a8b2ab",
+    ("gh", "aux"): "0ef0b879ed10405c8f73c744400feda5493a2b66a99223b92af293ff54e0b959",
+    ("gh", "lift"): "f26eb282a12fcc73cea8557413c36a05675ffd70541e63923137004bcb8a7dad",
+    ("dominoes", "aux"): "6b1e42defc0bcee1450197dcfa56f0eed956bb991779f018479e94b30c164282",
+    ("dominoes", "lift"): "960b59e1e6fefd84db4937caac497052bc24462f86aaeb7468ed1fcdcce0fdd7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(AUX_LIFT_DIGESTS), ids=str)
+def test_aux_and_lift_payloads_are_pinned(work, capsys, key):
+    family, command = key
+    f = work / "model.txt"
+    lines = []
+    for model in aux_model_family(family):
+        f.write_text(rio.format_model(model))
+        code, doc = run(capsys, command, str(f), *(("all",) if command == "lift" else ()))
+        assert code == 0
+        lines.append(normalized(doc))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == AUX_LIFT_DIGESTS[key]
+
+
 def test_pipeline_budget_exhausted_exit_4(work, capsys):
     f = work / "k2.txt"
     f.write_text(rio.format_graph(Graph.complete(2)))
