@@ -53,11 +53,13 @@ def _model_payload(host: Graph, model: models.MinorModel) -> dict:
 
 
 def _aux_payload(aux: models.AuxiliaryGraph) -> dict:
+    k = aux.order
     return {
         "colored": io.colored_json(aux.colored),
         "paths": [
-            {"pair": [i, j], "path": list(path)}
-            for (i, j), path in sorted(aux.path_table.items())
+            {"pair": [i, j], "path": list(aux.path(i, j))}
+            for i in range(k)
+            for j in range(i + 1, k)
         ],
     }
 

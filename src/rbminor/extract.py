@@ -39,7 +39,7 @@ from itertools import combinations
 from math import ceil
 from typing import Callable, Mapping, Sequence
 
-from .errors import BudgetExhausted, InstanceTooLarge, PoolExhausted
+from .errors import BudgetExhausted, PoolExhausted
 from .graphs import (
     RED,
     Bipartition,
@@ -88,25 +88,6 @@ class CompatiblePartition:
                 ):
                     return False
         return True
-
-
-def find_compatible_partition(
-    g: Graph, m: int, cap: int = EXACT_PARTITION_CAP
-) -> CompatiblePartition | None:
-    """Exhaustive search for m pairwise-joined disjoint subsets, by
-    `_exact_plan`; None at once when m exceeds `oracles._order_bound`, the
-    largest m <= n with C(m, 2) <= e, the edge count, and
-    2m <= n + omega(G[V_m]), V_m the vertices of degree >= m - 1."""
-    n = g.vertex_count
-    if n > cap:
-        raise InstanceTooLarge(f"{n} vertices (cap {cap})")
-    if m < 1:
-        raise ValueError("m must be positive")
-    masks = list(g.adjacency_masks)
-    if m > _order_bound(masks):
-        return None
-    found = _exact_plan(n, masks, m)
-    return None if found is None else CompatiblePartition(found)
 
 
 def greedy_compatible_partition(g: Graph) -> CompatiblePartition:
@@ -522,7 +503,6 @@ def validate_pipeline_report(g: Graph, report: PipelineReport) -> dict[str, bool
 __all__ = [
     "EXACT_PARTITION_CAP",
     "CompatiblePartition",
-    "find_compatible_partition",
     "greedy_compatible_partition",
     "build_projector",
     "ConnectorPath",

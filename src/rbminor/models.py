@@ -3,10 +3,12 @@
 A model assigns disjoint connected host parts, pairwise joined by at least
 one edge.  Minimising prunes each part to a spanning tree and each pair to
 a single cross edge, after which the root-to-root path between two parts
-is unique ("canonical").  The auxiliary graph records, for every pair, the
-parity of that path: Red for odd length, Blue for even.  Odd cycles in any
-partial lift correspond to red-odd circuits in the auxiliary graph and
-vice versa; both directions are implemented below.
+is unique ("canonical"): it climbs from the pair's cross edge x-y to root i
+in part i's tree and to root j in part j's.  The auxiliary graph records,
+for every pair, the parity of that path: Red for odd length, Blue for even,
+read off the tree depths of x and y.  Paths are built only when read.  Odd
+cycles in any partial lift correspond to red-odd circuits in the auxiliary
+graph and vice versa; both directions are implemented below.
 """
 
 from __future__ import annotations
@@ -163,79 +165,85 @@ def minimize_model(host: Graph, model: MinorModel) -> tuple[Graph, MinorModel]:
     return new_host, new_model
 
 
-def canonical_path(model: MinorModel, i: int, j: int) -> tuple[int, ...]:
-    """Unique root-to-root path inside parts i and j of a minimised model."""
-    if i == j:
-        raise ValueError("distinct parts required")
-    inside = set(model.parts[i]) | set(model.parts[j])
-    start, goal = model.roots[i], model.roots[j]
-    prev: dict[int, int] = {start: start}
-    queue = deque([start])
-    while queue and goal not in prev:
-        x = queue.popleft()
-        for y in sorted(model.host.adjacency[x]):
-            if y in inside and y not in prev:
-                prev[y] = x
-                queue.append(y)
-    if goal not in prev:
-        raise NotAModel(f"no path between roots of parts {i} and {j}")
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))
-
-
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """Complete two-coloured graph on part indices plus the path table.
+    """Complete two-coloured graph on part indices, plus the part trees.
 
     Edge (i, j) is Red exactly when the canonical path between roots i and
-    j has odd length.  path_table maps (i, j) with i < j to the path
-    oriented from root i to root j.
+    j has odd length.  parent maps each host vertex to its parent in its
+    part's tree (a root to itself), and cross maps (i, j) with i < j to the
+    pair's cross edge, its part-i end first; path(i, j) climbs from both
+    ends of that edge to the roots, so paths are built only when read.
     """
 
     colored: ColoredGraph
-    path_table: Mapping[tuple[int, int], tuple[int, ...]]
+    parent: tuple[int, ...]
+    cross: Mapping[tuple[int, int], tuple[int, int]]
 
     def path(self, i: int, j: int) -> tuple[int, ...]:
-        if i < j:
-            return self.path_table[(i, j)]
-        return tuple(reversed(self.path_table[(j, i)]))
+        """The canonical path, oriented from root i to root j."""
+        if i > j:
+            return self.path(j, i)[::-1]
+        x, y = self.cross[(i, j)]
+        return self._to_root(x)[::-1] + self._to_root(y)
+
+    def _to_root(self, v: int) -> tuple[int, ...]:
+        walk = [v]
+        while self.parent[v] != v:
+            v = self.parent[v]
+            walk.append(v)
+        return tuple(walk)
 
     @property
     def order(self) -> int:
         return self.colored.graph.vertex_count
 
 
-def _check_minimized(model: MinorModel) -> None:
-    covered = set().union(*model.parts)
-    if covered != set(range(model.host.vertex_count)):
+def build_auxiliary(model: MinorModel) -> AuxiliaryGraph:
+    """Colour every part pair by the parity of its canonical path.
+
+    The model must be minimised, else NotAModel: the parts cover the host,
+    each induces a tree, walked once from its root for parents and depths,
+    and each pair has one cross edge x-y, Red iff depth(x) + depth(y) is
+    even (the path has length depth(x) + 1 + depth(y))."""
+    n = model.host.vertex_count
+    if set().union(*model.parts) != set(range(n)):
         raise NotAModel("minimised model must cover every host vertex")
     table = model._pair_table
-    for i, part in enumerate(model.parts):
-        if len(table.get((i, i), ())) != len(part) - 1:
+    parent = list(range(n))
+    depth = [-1] * n
+    where = model.part_of()
+    for i, (part, root) in enumerate(zip(model.parts, model.roots)):
+        tree = table.get((i, i), ())
+        if len(tree) != len(part) - 1:
             raise NotAModel(f"part {i} does not induce a tree")
-        if not model.host.is_connected_subset(part):
+        nbr: dict[int, list[int]] = {v: [] for v in part}
+        for u, v in tree:
+            nbr[u].append(v)
+            nbr[v].append(u)
+        depth[root] = 0
+        reached = [root]
+        for x in reached:
+            for y in nbr[x]:
+                if depth[y] < 0:
+                    parent[y] = x
+                    depth[y] = depth[x] + 1
+                    reached.append(y)
+        if len(reached) != len(part):
             raise NotAModel(f"part {i} is not connected")
+    cross: dict[tuple[int, int], tuple[int, int]] = {}
+    triples = []
     for i in range(model.order):
         for j in range(i + 1, model.order):
-            if len(table.get((i, j), ())) != 1:
+            edges = table.get((i, j), ())
+            if len(edges) != 1:
                 raise NotAModel(f"parts {i}, {j} need exactly one cross edge")
-
-
-def build_auxiliary(model: MinorModel) -> AuxiliaryGraph:
-    """Colour every part pair by the parity of its canonical path."""
-    _check_minimized(model)
-    k = model.order
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
-    triples = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            path = canonical_path(model, i, j)
-            table[(i, j)] = path
-            length = len(path) - 1
-            triples.append((i, j, RED if length % 2 == 1 else BLUE))
-    return AuxiliaryGraph(ColoredGraph.from_edge_colors(k, triples), table)
+            x, y = edges[0]
+            cross[(i, j)] = (x, y) if where[x] == i else (y, x)
+            triples.append((i, j, BLUE if (depth[x] + depth[y]) % 2 else RED))
+    return AuxiliaryGraph(
+        ColoredGraph.from_edge_colors(model.order, triples), tuple(parent), cross
+    )
 
 
 def _cross_edge(model: MinorModel, i: int, j: int) -> tuple[int, int]:

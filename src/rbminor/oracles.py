@@ -97,15 +97,22 @@ def _series_reduce(g: Graph, core_cap: int) -> tuple[list[int], int]:
     take about c^2 / 8 bytes, so a large one is refused before they
     exist), and g's base value, read off the steps taken (see the module
     docstring).  Works on neighbour sets, in time and memory linear in the
-    input."""
+    input.  With no vertex of degree <= 2 nothing is removed and the core
+    is g itself, so its size is checked before any neighbour set exists."""
     n = g.vertex_count
+    degree = [0] * n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    queue = deque(v for v in range(n) if degree[v] <= 2)
+    if not queue:
+        _check_core(n, core_cap)
     nbr: list[set[int]] = [set() for _ in range(n)]
     for u, v in g.edges:
         nbr[u].add(v)
         nbr[v].add(u)
     alive = [True] * n
     cycle = False
-    queue = deque(v for v in range(n) if len(nbr[v]) <= 2)
     while queue:
         v = queue.popleft()
         if not alive[v]:

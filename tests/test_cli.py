@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbminor import io as rio
+from rbminor import oracles
 from rbminor.cli import MAX_TRIALS, main
 from rbminor.constructions import MAX_BOUND_N, gh_model, random_coloring, random_graph
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
@@ -324,14 +325,18 @@ def test_oracle_too_large_exit_3(work, capsys):
     assert doc["payload"]["code"] == "InstanceTooLarge"
 
 
+def write_ladder(path, n):
+    """A 3-regular Moebius ladder on n vertices (n even)."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+
+
 def test_oracle_refuses_a_large_core_before_building_its_masks(work, capsys):
     # a 3-regular Moebius ladder on 2 * 10^4 vertices: series reduction
     # removes nothing, and the core's adjacency masks alone would take
     # 50 MB (n^2 / 8 bytes), so the cap must be checked before they exist
-    n = 20_000
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
     f = work / "ladder.txt"
-    f.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    write_ladder(f, 20_000)
     tracemalloc.start()
     try:
         code = main(["oracle", "hadwiger", str(f)])
@@ -343,6 +348,34 @@ def test_oracle_refuses_a_large_core_before_building_its_masks(work, capsys):
     assert out.endswith("\n") and "\n" not in out[:-1]
     assert strict_json(out)["payload"]["code"] == "InstanceTooLarge"
     assert peak < 30e6, peak  # 16 MB with the check first, 58 MB without
+
+
+def test_oracle_refuses_an_irreducible_input_before_reducing_it(work, capsys, monkeypatch):
+    # the same ladder has no vertex of degree <= 2, so its core is the
+    # input: a degree count refuses it before any neighbour set is built
+    # (5.5 MB of sets at this size, against 0.16 MB for the degree list)
+    f = work / "ladder.txt"
+    write_ladder(f, 20_000)
+    reduce, peaks = oracles._series_reduce, []
+
+    def measured(g, core_cap):
+        tracemalloc.start()
+        try:
+            return reduce(g, core_cap)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(oracles, "_series_reduce", measured)
+    code = main(["oracle", "hadwiger", str(f)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.endswith("\n") and "\n" not in out[:-1]
+    assert strict_json(out)["payload"] == {
+        "code": "InstanceTooLarge",
+        "message": "series-reduced core has 20000 vertices (cap 10)",
+    }
+    assert len(peaks) == 1 and peaks[0] < 1e6, peaks
 
 
 def test_huge_header_exit_3_before_allocating(work, capsys):

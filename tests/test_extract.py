@@ -21,7 +21,6 @@ from rbminor.extract import (
     bipartite_minor_pipeline,
     build_projector,
     connect_pair,
-    find_compatible_partition,
     greedy_compatible_partition,
     validate_pipeline_report,
 )
@@ -29,6 +28,8 @@ from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
 from rbminor.kernels import find_compatible
 from rbminor.models import MinorModel
 from rbminor.rb import RBBipartition
+
+from compatible_partition import find_compatible_partition
 
 
 def test_greedy_partition_degenerate():

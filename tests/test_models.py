@@ -5,6 +5,8 @@ is the load-bearing fact here; the acceptance suite runs it at volume, this
 file pins the mechanics on hand-built and small random instances.
 """
 
+import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -23,7 +25,6 @@ from rbminor.models import (
     AuxiliaryGraph,
     MinorModel,
     build_auxiliary,
-    canonical_path,
     lift_odd_circuit,
     lift_subgraph,
     minimize_model,
@@ -97,9 +98,30 @@ def test_minimize_rejects_foreign_host():
         minimize_model(Graph.cycle(7), m)
 
 
+def canonical_path(model, i, j):
+    """Unique root-to-root path inside parts i and j of a minimised model,
+    by a BFS over their union with sorted adjacency: the reference for
+    AuxiliaryGraph.path."""
+    inside = set(model.parts[i]) | set(model.parts[j])
+    start, goal = model.roots[i], model.roots[j]
+    prev = {start: start}
+    queue = deque([start])
+    while queue and goal not in prev:
+        x = queue.popleft()
+        for y in sorted(model.host.adjacency[x]):
+            if y in inside and y not in prev:
+                prev[y] = x
+                queue.append(y)
+    path = [goal]
+    while path[-1] != start:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
+
+
 def test_canonical_path_endpoints():
     _, m = minimize_model(cycle_model().host, cycle_model())
-    p = canonical_path(m, 0, 1)
+    p = build_auxiliary(m).path(0, 1)
+    assert p == canonical_path(m, 0, 1) == (0, 1, 2)
     assert p[0] == m.roots[0] and p[-1] == m.roots[1]
     assert p == tuple(sorted(set(p), key=p.index))  # simple path
 
@@ -166,6 +188,44 @@ def test_project_rejects_bad_cycles():
         project_odd_cycle(m, aux, (0, 1, 2, 0))  # repeats a vertex
     with pytest.raises(ValueError):
         project_odd_cycle(m, aux, (0, 1))  # even length
+
+
+def random_tree_model(seed):
+    """A minimised model with shuffled labels: parts of 1..7 vertices that
+    are paths, stars or random trees, each with a random root, and one
+    random cross edge per part pair."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 7) for _ in range(rng.randint(2, 7))]
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    parts, roots, edges = [], [], []
+    for size in sizes:
+        part, labels = labels[:size], labels[size:]
+        shape = rng.choice(("path", "star", "random"))
+        for a in range(1, size):
+            b = {"path": a - 1, "star": 0, "random": rng.randrange(a)}[shape]
+            edges.append((part[a], part[b]))
+        parts.append(part)
+        roots.append(rng.choice(part))
+    for p, q in combinations(parts, 2):
+        edges.append((rng.choice(p), rng.choice(q)))
+    return MinorModel.create(Graph.from_edges(sum(sizes), edges), parts, roots)
+
+
+def test_depth_colouring_and_paths_match_the_bfs_paths():
+    reds = blues = 0
+    for seed in range(300):
+        model = random_tree_model(seed)
+        aux = build_auxiliary(model)
+        for i, j in combinations(range(model.order), 2):
+            path = canonical_path(model, i, j)
+            assert aux.path(i, j) == path, (seed, i, j)
+            assert aux.path(j, i) == canonical_path(model, j, i) == path[::-1]
+            red = aux.colored.is_red(i, j)
+            assert red == ((len(path) - 1) % 2 == 1), (seed, i, j)
+            reds += red
+            blues += not red
+    assert min(reds, blues) > 1000, (reds, blues)
 
 
 def random_small_model(seed):
@@ -298,8 +358,12 @@ def _seeded_models(count):
         yield minimize_model(host, model)[1]
 
 
+def _check_minimized(model):
+    build_auxiliary(model)
+
+
 def test_pair_table_matches_a_per_pair_scan():
-    from rbminor.models import _check_minimized, _lift_edges
+    from rbminor.models import _lift_edges
 
     seen = {"valid": 0, "minimised": 0, "uncovered": 0}
     for model in _seeded_models(300):
