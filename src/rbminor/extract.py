@@ -7,21 +7,23 @@ m from the largest any plan can reach down:
 
 - plan: pairwise-joined parts of h1, from the exact search
   (`_exact_plan`: `find_kt_model`, then `find_compatible`) while at most
-  EXACT_PARTITION_CAP vertices are active, and above the cap from the m
-  best-ranked parts of one greedy partition made once per call.  The
-  exact search starts at the order bound `oracles._order_bound` of h1,
-  not at its n active vertices: the largest m <= n with C(m, 2) <= e, its
-  edge count, and 2m <= n + omega(h1[V_m]), V_m the vertices of degree
+  EXACT_PARTITION_CAP vertices are active, and above the cap from
+  `greedy_compatible_partition`, made once per call, whose parts are
+  connected in h1 and so are taken whole without repair.  The exact
+  search starts at the order bound `oracles._order_bound` of h1, not at
+  its n active vertices: the largest m <= n with C(m, 2) <= e, its edge
+  count, and 2m <= n + omega(h1[V_m]), V_m the vertices of degree
   >= m - 1 (a singleton part needs an edge to each other part,
   singletons are pairwise adjacent, and every other part takes two
   vertices).  No compatible partition is larger, so every count above it
   would cost a failing exhaustive search;
-- repair: reserved auxiliary vertices restore connectivity, projector
-  vertices giving every part member a neighbour and connector paths
-  chaining the projectors together.  A reserve that runs dry retreats to
-  the next smaller m; a connector search that finds the pool to be a
-  complete RB-bipartite graph keeps it as a witness, used when it has
-  at least two vertices and no fewer than the planned count;
+- repair: reserved auxiliary vertices restore the connectivity of an
+  exact plan's scattered parts, projector vertices giving every part
+  member a neighbour and connector paths chaining the projectors
+  together.  A reserve that runs dry retreats to the next smaller m; a
+  connector search that finds the pool to be a complete RB-bipartite
+  graph keeps it as a witness, used when it has at least two vertices
+  and no fewer than the planned count;
 - report: the parts grown by their repair vertices (or the witness
   vertices as singletons) are lifted to host edges by the lift rule of
   `models` and relabelled to the host, in one place.
@@ -91,37 +93,45 @@ class CompatiblePartition:
 
 
 def greedy_compatible_partition(g: Graph) -> CompatiblePartition:
-    """Merge non-joined parts until all pairs are joined.
+    """Grow connected parts in one pass, each joined to every earlier part.
 
-    Starts from singletons (isolated vertices dropped) and repeatedly
-    merges the non-adjacent pair whose union sees the most other parts,
-    ties broken lexicographically.  No optimality promise; used when the
-    graph is too big for the exhaustive search.
+    A part starts at the free vertex of highest degree (then smallest
+    label), taken among those adjacent to every part so far if any.  It
+    grows by the free neighbour reaching the most parts it does not yet
+    reach, ties to the lower degree, then the smaller label, until it
+    reaches them all; a part whose free neighbours run out first is a
+    whole free component no later part could use, and is given up.
+    Isolated vertices are left out (an edgeless graph gets the part
+    (0,)).  No optimality promise; used when the graph is too big for
+    the exhaustive search.
     """
-    active = [v for v in range(g.vertex_count) if g.degree(v) > 0]
-    if not active:
-        if g.vertex_count == 0:
-            return CompatiblePartition(())
-        return CompatiblePartition(((0,),))
-    parts = [frozenset((v,)) for v in active]
-    nbr = [frozenset(g.adjacency[v]) for v in active]
-    while True:
-        bad = None
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if not nbr[i] & parts[j]:
-                    score = len((nbr[i] | nbr[j]) - parts[i] - parts[j])
-                    if bad is None or score > bad[0]:
-                        bad = (score, i, j)
-        if bad is None:
-            break
-        _, i, j = bad
-        parts[i] |= parts[j]
-        nbr[i] |= nbr[j]
-        del parts[j], nbr[j]
-    return CompatiblePartition(
-        tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda p: p[0]))
-    )
+    adj = g.adjacency
+    deg = [len(a) for a in adj]
+    free = {v for v in range(g.vertex_count) if deg[v]}
+    if not free:
+        return CompatiblePartition(((0,),) if g.vertex_count else ())
+    reach: dict[int, set[int]] = {v: set() for v in free}  # parts next to v
+    parts: list[tuple[int, ...]] = []
+    while free:
+        k = len(parts)
+        joined = [v for v in free if len(reach[v]) == k]
+        seed = min(joined or free, key=lambda v: (-deg[v], v))
+        part = [seed]
+        free.discard(seed)
+        missing = set(range(k)) - reach[seed]
+        frontier = adj[seed] & free
+        while missing and frontier:
+            u = max(frontier, key=lambda w: (len(missing & reach[w]), -deg[w], -w))
+            part.append(u)
+            free.discard(u)
+            missing -= reach[u]
+            frontier = (frontier | adj[u]) & free
+        if not missing:
+            for w in part:
+                for u in adj[w] & free:
+                    reach[u].add(k)
+            parts.append(tuple(sorted(part)))
+    return CompatiblePartition(tuple(parts))
 
 
 def _mask_bits(mask: int) -> tuple[int, ...]:
@@ -294,23 +304,13 @@ def _planner(
     h1: Graph, active_count: int
 ) -> tuple[int, Callable[[int], _Plan | None]]:
     """Largest part count any plan can have, and the plan source for part
-    counts m: `_exact_plan` up to the cap, above it the best-ranked m parts
-    of one greedy partition."""
+    counts m: `_exact_plan` up to the cap, above it the first m parts of
+    one greedy partition, whose parts are all connected in h1."""
     if active_count <= EXACT_PARTITION_CAP:
         masks = list(h1.adjacency_masks[:active_count])
         return _order_bound(masks), partial(_exact_plan, active_count, masks)
     full = greedy_compatible_partition(h1)
-    ranked = sorted(
-        full.parts,
-        key=lambda p: (0 if h1.is_connected_subset(p) else 1, len(p), p[0]),
-    )
-
-    def greedy(m: int) -> _Plan | None:
-        if full.order < m:
-            return None
-        return tuple(sorted(ranked[:m], key=lambda p: p[0]))
-
-    return full.order, greedy
+    return full.order, lambda m: full.parts[:m]
 
 
 def _execute_plan(
@@ -355,11 +355,11 @@ def _execute_plan(
             joints.extend(res.internals)
             cur, part_state = res.graph, res.partition
         groups.append(members + xs + tuple(joints))
+    group_of = {v: k for k, grp in enumerate(groups) for v in grp}
     aux_edges = [
-        e
-        for inside in map(set, groups)
-        for e in cur.graph.edges
-        if e[0] in inside and e[1] in inside
+        (u, v)
+        for u, v in cur.graph.edges
+        if u in group_of and group_of[u] == group_of.get(v)
     ]
     for p, q in combinations(plan, 2):
         aux_edges.append(
@@ -379,12 +379,13 @@ def bipartite_minor_pipeline(
     """Convert a clique minor of g into a bipartite one.
 
     Minimises the model, reserves the last ceil(epsilon * n) auxiliary
-    vertices (at least 2), extracts an RB-bipartite half of the active
-    auxiliary clique, and searches part counts downward: pairwise-joined
-    parts first without any reserve spend (connected parts), then with
-    projector and connector repair.  The exact search starts at the order
-    bound of h1, not at its n active vertices, since no larger count has a
-    plan.  A step that exhausts the reserve retreats to the next smaller
+    vertices (at least 2), extracts an RB-bipartite half h1 of the active
+    auxiliary clique, and plans pairwise-joined parts of h1.  Above
+    EXACT_PARTITION_CAP active vertices the plan is one greedy partition
+    into connected parts, kept whole with no reserve spend.  Up to the cap
+    the exact search tries part counts downward from the order bound of
+    h1, not from its n active vertices, since no larger count has a plan,
+    and repairs scattered parts with projectors and connectors.  A step that exhausts the reserve retreats to the next smaller
     count; a complete RB-bipartite pool witness is kept when it beats the
     planned count.  The report is always a valid bipartite minor model in
     g's own labels.

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAModel, NotInLift
@@ -110,37 +111,34 @@ class MinorModel:
         return sorted(self._pair_table.get((i, j), ()))
 
 
-def _part_tree_edges(host: Graph, part: Sequence[int], root: int) -> list[tuple[int, int]]:
-    """BFS spanning tree of the induced part, neighbours in increasing order."""
-    inside = set(part)
-    seen = {root}
-    queue = deque([root])
-    tree = []
-    while queue:
-        x = queue.popleft()
-        for y in sorted(host.adjacency[x]):
-            if y in inside and y not in seen:
-                seen.add(y)
-                queue.append(y)
-                tree.append(edge_key(x, y))
-    if seen != inside:
-        raise NotAModel("part is not connected in the host")
-    return tree
-
-
 def _minimize_with_map(
     host: Graph, model: MinorModel
 ) -> tuple[Graph, MinorModel, list[int]]:
+    """Minimise in one pass over the parts and one over the pairs, which
+    also check the model: each part's BFS spanning tree from its root
+    (neighbours in increasing order) must reach the whole part, and each
+    pair's lex-smallest cross edge must exist."""
     if model.host != host:
         raise ValueError("model was built over a different host")
-    model.validate()
     kept: list[tuple[int, int]] = []
-    for part, root in zip(model.parts, model.roots):
-        kept.extend(_part_tree_edges(host, part, root))
-    k = len(model.parts)
-    for i in range(k):
-        for j in range(i + 1, k):
-            kept.append(model.cross_edges(i, j)[0])  # lex-smallest survivor
+    for i, (part, root) in enumerate(zip(model.parts, model.roots)):
+        inside = set(part)
+        seen = {root}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in sorted(host.adjacency[x] & inside):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    kept.append(edge_key(x, y))
+        if seen != inside:
+            raise NotAModel(f"part {i} is not connected in the host")
+    table = model._pair_table
+    for i, j in combinations(range(model.order), 2):
+        if (i, j) not in table:
+            raise NotAModel(f"parts {i} and {j} share no edge")
+        kept.append(min(table[(i, j)]))  # lex-smallest survivor
     old_of_new = sorted(v for part in model.parts for v in part)
     relabel = {old: new for new, old in enumerate(old_of_new)}
     new_host = Graph.from_edges(

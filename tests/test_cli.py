@@ -184,7 +184,7 @@ PIPELINE_DIGESTS = {
     ("k", 8): "2eca1e4117634e49104296afb39636b5bb4bf0cc69ad0d202b4840c4583d538a",
     ("k", 12): "f94dde84a884b01de7105bf30be729fde13767b15453833dd5d5d6e39e1ca746",
     ("k", 13): "fbdb3e7c4bcb5bd7260b4494720d0efc0b90e21424f434771bc4c90a81605df6",
-    ("k", 20): "9492559c55c5b5c5fb7b81302d543243cd8f18bd60d94dab9462f5ae5e6f06d7",
+    ("k", 20): "eba192071b325cf04b5448f237b1818f890d91a853ac4d613b723f011a295358",
     ("gh", 5, 1): "00718ce29a6f698e94ac87b746a0816873461bcae5e2fe8a6ce26b6668a6d07e",
     ("gh", 6, 2): "7697cf5e5c2a6bb7900681c2f48bf397e5525d690f2d019c9442d6adb3051dfb",
     ("gh", 7, 3): "9069505028933003645f9549cbf07dd8772ab2ed048f34be572dc16fd5e303fe",

@@ -43,6 +43,7 @@ def test_greedy_partition_is_compatible():
         g = random_graph(n, 0.5, derive_seed(55, seed))
         part = greedy_compatible_partition(g)
         assert part.is_valid_for(g)
+        assert all(g.is_connected_subset(p) for p in part.parts), part
 
 
 def test_find_compatible_partition_exact():
@@ -415,12 +416,12 @@ REPAIR_CASES = [
         id="pool-exhausted",
     ),
     # K_18 leaves 14 active vertices, above EXACT_PARTITION_CAP, so the
-    # greedy plan runs.  m = 2 is a known shortfall of that plan (K_16 and
-    # K_17 reach 7); the pin records today's output, not a target.
+    # greedy plan runs.  Its parts are connected in h1 = K_{7,7}, so it
+    # reaches the order bound 7 without spending the reserve.
     pytest.param(
         lambda: singleton_clique(18), 0.25, "greedy",
-        (2, (("projector", 2), ("connector", 0)), False),
-        "3dd7b50ffe0c501c7a79d784f18d91ab3c73a2c6d392c65e180bfad93b5e0543",
+        (7, (("projector", 0), ("connector", 0)), False),
+        "3f0e58f1e6613c63fc5cfbe6e14cb32983eb0afa5d3bd3cc2d31ea1223e7473c",
         id="greedy",
     ),
 ]
@@ -464,16 +465,60 @@ def test_pipeline_repair_paths(monkeypatch, host, epsilon, branch, pinned, diges
 
 # Reports on K_n above the exact cap.  Every model check runs on the host
 # K_n with singleton parts, where a per-pair scan of the host edges costs
-# O(n^2 * E).  m = 2 is the greedy plan's known shortfall (ROADMAP item 1),
-# pinned as today's output, not as a target.
-@pytest.mark.parametrize("n, digest", [
-    (24, "68b5aecf90c9c6aed2abbec9624932d3b739cdab00d09b79bd5966de03168de1"),
-    (32, "a711dfde2b7d1e5b0614dbed1652516b37bc7c6e23cd00d449b14e175413eac9"),
-    (64, "36d61e350cba33bc6c5a1e0a8b05177829c1dc3161631bbdae92921edf0a72b4"),
+# O(n^2 * E).  m is the order bound of h1, the optimum.
+@pytest.mark.parametrize("n, m, digest", [
+    pytest.param(n, m, digest, id=str(n)) for n, m, digest in [
+        (24, 10, "f8c87998205e1196ff9c83bd4b9830c385f4a4d492a4c9a7719a304180beeeaa"),
+        (32, 13, "9a2e31e52b1e43d236464c7eb703e47a83a8c0522c491a781a3711fa805ef91c"),
+        (64, 25, "962b032e98d11fa25593dc39957d533bb607f1bb40fc84a72713329873f89d51"),
+    ]
 ])
-def test_pipeline_reports_on_large_cliques(n, digest):
+def test_pipeline_reports_on_large_cliques(n, m, digest):
     g = Graph.complete(n)
     report = bipartite_minor_pipeline(g, MinorModel.create(g, [(v,) for v in range(n)]), 0.25)
     assert validate_pipeline_report(g, report)["all"]
-    assert report.m_achieved == 2
+    assert report.m_achieved == m
     assert report_digest(report) == digest
+
+
+# m_achieved on G(h), h = G(n, 0.5) with seeds 0, 1, 2, at epsilon = 0.25:
+# every n here leaves more than EXACT_PARTITION_CAP active vertices
+GH_ABOVE_CAP = {
+    18: (7, 7, 8), 19: (9, 8, 7), 20: (9, 8, 8), 21: (9, 9, 9),
+    22: (10, 10, 9), 23: (10, 10, 8), 24: (11, 11, 11), 25: (11, 10, 10),
+    26: (10, 10, 10), 27: (12, 11, 11), 28: (12, 12, 11), 29: (12, 12, 10),
+    30: (12, 12, 11), 31: (12, 13, 13), 32: (11, 13, 13),
+}
+# the blob prototype of ROADMAP item 1, a floor for the pins above
+GH_PROTOTYPE = {18: (7, 7, 7), 20: (7, 8, 8), 24: (9, 7, 9), 32: (10, 11, 11)}
+
+
+def test_pipeline_reaches_the_order_bound_on_cliques(monkeypatch):
+    planner = extract._planner
+    bounds = []
+
+    def bounding_planner(h1, active_count):
+        bounds.append(oracles._order_bound(h1.adjacency_masks[:active_count]))
+        return planner(h1, active_count)
+
+    monkeypatch.setattr(extract, "_planner", bounding_planner)
+
+    def checked(g, model):
+        bounds.clear()
+        report = bipartite_minor_pipeline(g, model, 0.25)
+        checks = validate_pipeline_report(g, report)
+        assert checks["all"], checks
+        if model.order - report.reserve_size > extract.EXACT_PARTITION_CAP:
+            assert report.budget() == {"projector": 0, "connector": 0}
+        return report.m_achieved
+
+    for n in range(13, 65):
+        m = checked(*singleton_clique(n))
+        assert m == bounds[0], (n, m, bounds)
+    for n, floor in GH_PROTOTYPE.items():
+        assert all(a >= b for a, b in zip(GH_ABOVE_CAP[n], floor)), n
+    achieved = {
+        n: tuple(checked(*gh_model(random_graph(n, 0.5, s))) for s in range(3))
+        for n in GH_ABOVE_CAP
+    }
+    assert achieved == GH_ABOVE_CAP

@@ -375,6 +375,8 @@ def test_pair_table_matches_a_per_pair_scan():
         assert model.cross_edges(-1, 0) == model.cross_edges(k - 1, 0)
         valid = _outcome(model.validate)
         assert valid == _outcome(_scan_validate, model)
+        if valid[0] != "ok":  # minimising checks the model on its own
+            assert _outcome(minimize_model, model.host, model) == valid
         minimised = _outcome(_check_minimized, model)
         assert minimised == _outcome(_scan_check_minimized, model)
         all_pairs = list(combinations(range(k), 2))
