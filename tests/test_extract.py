@@ -3,6 +3,7 @@ bipartite-minor pipeline."""
 
 import hashlib
 from collections import Counter
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -427,9 +428,8 @@ REPAIR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("host, epsilon, branch, pinned, digest", REPAIR_CASES)
-def test_pipeline_repair_paths(monkeypatch, host, epsilon, branch, pinned, digest):
-    g, model = host()
+def count_repair_branches(monkeypatch):
+    """Counter of the repair branches the pipeline runs from now on."""
     seen = Counter()
     projector = extract.build_projector
     connector = extract.connect_pair
@@ -455,12 +455,45 @@ def test_pipeline_repair_paths(monkeypatch, host, epsilon, branch, pinned, diges
     monkeypatch.setattr(extract, "build_projector", counted_projector)
     monkeypatch.setattr(extract, "connect_pair", counted_connector)
     monkeypatch.setattr(extract, "greedy_compatible_partition", counted_greedy)
+    return seen
+
+
+@pytest.mark.parametrize("host, epsilon, branch, pinned, digest", REPAIR_CASES)
+def test_pipeline_repair_paths(monkeypatch, host, epsilon, branch, pinned, digest):
+    g, model = host()
+    seen = count_repair_branches(monkeypatch)
     report = bipartite_minor_pipeline(g, model, epsilon)
     checks = validate_pipeline_report(g, report)
     assert checks["all"], checks
     assert seen[branch] > 0, seen
     assert (report.m_achieved, report.budget_used, report.from_witness) == pinned
     assert report_digest(report) == digest
+
+
+def test_pipeline_reports_are_pinned(monkeypatch):
+    # one digest over the report, or the BudgetExhausted message, of every
+    # G(h) with h = G(n, p), n = 3..12, p = 0.3 / 0.5 / 0.7 and seeds 0..7,
+    # and of K_1..K_20, each at four epsilons: the repair-path layer of the
+    # outputs corpus, with the repair branches it runs counted
+    seen = count_repair_branches(monkeypatch)
+    hosts = [
+        lambda n=n, p=p, s=s: gh_model(random_graph(n, p, s))
+        for n in range(3, 13) for p in (0.3, 0.5, 0.7) for s in range(8)
+    ]
+    hosts += [partial(singleton_clique, n) for n in range(1, 21)]
+    records = []
+    for host in hosts:
+        for epsilon in (0.1, 0.25, 0.4, 0.6):
+            try:
+                records.append(report_digest(bipartite_minor_pipeline(*host(), epsilon)))
+            except BudgetExhausted as exc:
+                seen["budget_exhausted"] += 1
+                records.append(str(exc))
+    assert len(records) == 1040
+    assert seen == {"projector": 110, "pool_exhausted": 13, "connector": 9,
+                    "witness": 29, "greedy": 9, "budget_exhausted": 8}, seen
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "ff34bbac69c8492b1d54e970769bf59d9958e1426ff4dec000a599a8ff4d7fa3"
 
 
 # Reports on K_n above the exact cap.  Every model check runs on the host
