@@ -335,7 +335,11 @@ _TK_DOC = {"branch": [int], "paths": [{"pair": (int, int), "path": [int]}],
 def _cmd_verify(args) -> tuple[str, dict]:
     doc = json.loads(_read(args.json))
     if args.kind == "pipeline":
-        if not io.has_shape(doc, _PIPELINE_DOC) or doc["m_achieved"] != len(doc["parts"]):
+        # every part must hold its own root, as in a minor model
+        if not io.has_shape(doc, _PIPELINE_DOC) or not (
+            doc["m_achieved"] == len(doc["parts"]) == len(doc["roots"])
+            and all(r in p for r, p in zip(doc["roots"], doc["parts"]))
+        ):
             raise ParseError("malformed pipeline document")
         g = io.expect_plain(io.parse_graph(_read(args.graph)))
         report = extract.PipelineReport(

@@ -20,10 +20,13 @@ m from the largest any plan can reach down:
 - repair: reserved auxiliary vertices restore the connectivity of an
   exact plan's scattered parts, projector vertices giving every part
   member a neighbour and connector paths chaining the projectors
-  together.  A reserve that runs dry retreats to the next smaller m; a
-  connector search that finds the pool to be a complete RB-bipartite
-  graph keeps it as a witness, used when it has at least two vertices
-  and no fewer than the planned count;
+  together.  Both read each pair's colour from the auxiliary graph, and
+  the repair lists the auxiliary edges it keeps: h1's edges inside a
+  part, then its own projector and connector edges.  A reserve that
+  runs dry retreats to the next smaller m; a connector search that finds
+  the pool to be a complete RB-bipartite graph keeps it as a witness,
+  used when it has at least two vertices and no fewer than the planned
+  count;
 - report: the parts grown by their repair vertices (or the witness
   vertices as singletons) are lifted to host edges by the lift rule of
   `models` and relabelled to the host, in one place.
@@ -39,17 +42,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import ceil
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExhausted, PoolExhausted
-from .graphs import (
-    RED,
-    Bipartition,
-    ColoredGraph,
-    Graph,
-    edge_key,
-    is_bipartite,
-)
+from .graphs import RED, Bipartition, Graph, edge_key, is_bipartite
 from .kernels import find_compatible, find_kt_model
 from .models import MinorModel, _lift_edges, _minimize_with_map, build_auxiliary
 from .oracles import _order_bound
@@ -145,24 +141,20 @@ def _mask_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pair_color(colors: Mapping[tuple[int, int], str], a: int, b: int) -> str:
-    return colors[edge_key(a, b)]
-
-
 def build_projector(
-    cg: ColoredGraph,
     partition: RBBipartition,
     members: Sequence[int],
     pool: Sequence[int],
-    pool_colors: Mapping[tuple[int, int], str],
-) -> tuple[tuple[int, ...], ColoredGraph, RBBipartition]:
+    color: Callable[[int, int], str],
+) -> tuple[tuple[int, ...], list[tuple[int, int]], RBBipartition]:
     """Give every member a neighbour among freshly placed pool vertices.
 
     Each pool vertex goes where `rb.rb_add_vertex` puts it, on the side
     that keeps edges to at least half of the still-uncovered members, so
-    at most floor(log2 k) + 1 vertices are consumed.
-    Returns (projector vertices, grown graph, extended partition); raises
-    PoolExhausted when the pool runs out first.
+    at most floor(log2 k) + 1 vertices are consumed.  `color(u, v)` is
+    the colour of the pair u-v.
+    Returns (projector vertices, kept projector-member edges, extended
+    partition); raises PoolExhausted when the pool runs out first.
     """
     for u in members:
         if u not in partition.side:
@@ -170,31 +162,28 @@ def build_projector(
     queue = list(pool)
     remaining = sorted(members)
     chain: list[int] = []
-    cur = cg
+    edges: list[tuple[int, int]] = []
     while remaining:
         if not queue:
             raise PoolExhausted(
                 f"{len(remaining)} members uncovered and the pool is empty"
             )
         s = queue.pop(0)
-        placed, kept = rb_add_vertex(
-            partition, s, [(u, _pair_color(pool_colors, s, u)) for u in remaining]
-        )
-        cur = cur.with_colored_edges([(s, u, c) for u, c in kept])
+        placed, kept = rb_add_vertex(partition, s, [(u, color(s, u)) for u in remaining])
+        edges.extend((s, u) for u, _ in kept)
         partition = partition.extended(s, placed)
         chain.append(s)
         covered = {u for u, _ in kept}
         remaining = [u for u in remaining if u not in covered]
-    return tuple(chain), cur, partition
+    return tuple(chain), edges, partition
 
 
 @dataclass(frozen=True)
 class ConnectorPath:
-    """x-to-y path through one or two pool vertices, plus the grown graph
-    and the partition extended over the internals."""
+    """x-to-y path through one or two pool vertices, plus the partition
+    extended over the internals."""
 
     path: tuple[int, ...]
-    graph: ColoredGraph
     partition: RBBipartition
 
     @property
@@ -216,18 +205,17 @@ class RBCliqueWitness:
 
 
 def connect_pair(
-    cg: ColoredGraph,
     partition: RBBipartition,
     x: int,
     y: int,
     parity: str,
     pool: Sequence[int],
-    pool_colors: Mapping[tuple[int, int], str],
+    color: Callable[[int, int], str],
 ) -> ConnectorPath | RBCliqueWitness:
     """Join placed x and y through at most two pool vertices.
 
     The path is the first one `rb.rb_patch_path` accepts under the side
-    rule.  When none exists that lemma makes the pool a complete
+    rule, `color(u, v)` giving the colour of the pair u-v.  When none exists that lemma makes the pool a complete
     RB-bipartite graph, returned as a witness split by colour towards x
     (Red on side 0).
 
@@ -251,7 +239,6 @@ def connect_pair(
         if w in side:
             raise ValueError(f"pool vertex {w} is already placed")
 
-    color = partial(_pair_color, pool_colors)
     found = rb_patch_path(x, y, side[x], side[y], order, color)
     if found is None:
         return RBCliqueWitness(
@@ -260,10 +247,7 @@ def connect_pair(
     path, forced = found
     new_side = dict(side)
     new_side.update(zip(path[1:-1], forced))
-    edges = [(a, b, color(a, b)) for a, b in zip(path, path[1:])]
-    return ConnectorPath(
-        path, cg.with_colored_edges(edges), RBBipartition(new_side)
-    )
+    return ConnectorPath(path, RBBipartition(new_side))
 
 
 @dataclass(frozen=True)
@@ -315,29 +299,32 @@ def _planner(
 
 def _execute_plan(
     plan: _Plan,
-    h1: ColoredGraph,
+    h1: Graph,
     start: RBBipartition,
     reserve: Sequence[int],
-    pool_colors: Mapping[tuple[int, int], str],
+    color: Callable[[int, int], str],
 ) -> tuple[_Plan, list[tuple[int, int]], tuple[tuple[str, int], ...]] | RBCliqueWitness:
     """Repair a plan from the reserve: a projector for every part that is
     not connected in h1, then connector paths chaining each projector.
 
     Returns (groups, aux_edges, budget): each part grown by its projector
-    and connector vertices, the auxiliary edges to lift, and the spend.
-    A connector search that finds no path returns its pool witness;
-    PoolExhausted propagates from the projectors.
+    and connector vertices, the auxiliary edges to lift (h1's edges inside
+    a part, the projector edges, the connector paths and one h1 edge per
+    part pair), and the spend.  A connector search that finds no path
+    returns its pool witness; PoolExhausted propagates from the projectors.
     """
-    cur = h1
+    part_of = {v: k for k, members in enumerate(plan) for v in members}
+    aux_edges = [
+        (u, v) for u, v in h1.edges if u in part_of and part_of[u] == part_of.get(v)
+    ]
     part_state = RBBipartition(dict(start.side))
     pool = list(reserve)
     chains: list[tuple[int, ...]] = []
     for members in plan:
         chain: tuple[int, ...] = ()
-        if len(members) > 1 and not h1.graph.is_connected_subset(members):
-            chain, cur, part_state = build_projector(
-                cur, part_state, members, pool, pool_colors
-            )
+        if len(members) > 1 and not h1.is_connected_subset(members):
+            chain, kept, part_state = build_projector(part_state, members, pool, color)
+            aux_edges.extend(kept)
             del pool[: len(chain)]
         chains.append(chain)
     groups = []
@@ -345,25 +332,18 @@ def _execute_plan(
         joints: list[int] = []
         for a, b in zip(xs, xs[1:]):
             parity = "even" if part_state.side[a] == part_state.side[b] else "odd"
-            res = connect_pair(
-                cur, part_state, a, b, parity, tuple(pool), pool_colors
-            )
+            res = connect_pair(part_state, a, b, parity, tuple(pool), color)
             if isinstance(res, RBCliqueWitness):
                 return res
             for w in res.internals:
                 pool.remove(w)
             joints.extend(res.internals)
-            cur, part_state = res.graph, res.partition
+            aux_edges.extend(zip(res.path, res.path[1:]))
+            part_state = res.partition
         groups.append(members + xs + tuple(joints))
-    group_of = {v: k for k, grp in enumerate(groups) for v in grp}
-    aux_edges = [
-        (u, v)
-        for u, v in cur.graph.edges
-        if u in group_of and group_of[u] == group_of.get(v)
-    ]
     for p, q in combinations(plan, 2):
         aux_edges.append(
-            min(edge_key(u, v) for u in p for v in q if h1.graph.has_edge(u, v))
+            min(edge_key(u, v) for u in p for v in q if h1.has_edge(u, v))
         )
     projector = sum(len(c) for c in chains)
     budget = (
@@ -385,10 +365,11 @@ def bipartite_minor_pipeline(
     into connected parts, kept whole with no reserve spend.  Up to the cap
     the exact search tries part counts downward from the order bound of
     h1, not from its n active vertices, since no larger count has a plan,
-    and repairs scattered parts with projectors and connectors.  A step that exhausts the reserve retreats to the next smaller
-    count; a complete RB-bipartite pool witness is kept when it beats the
-    planned count.  The report is always a valid bipartite minor model in
-    g's own labels.
+    and repairs scattered parts with projectors and connectors.  A step
+    that exhausts the reserve retreats to the next smaller count; a
+    complete RB-bipartite pool witness is kept when it beats the planned
+    count.  The report is always a valid bipartite minor model in g's own
+    labels.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -403,12 +384,8 @@ def bipartite_minor_pipeline(
     active_count = n - reserve_size
     active = list(range(active_count))
     reserve = list(range(active_count, n))
-    pool_colors = {
-        edge_key(u, v): aux.colored.color_of(u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-    }
-    h1, start = rb_extract_half(aux.colored.induced_on(active), active)
+    # an edge with an end outside `active` is never kept
+    h1, start = rb_extract_half(aux.colored, active)
 
     top, plan_for = _planner(h1.graph, active_count)
     best_witness: RBCliqueWitness | None = None
@@ -420,7 +397,9 @@ def bipartite_minor_pipeline(
         if plan is None:
             continue
         try:
-            result = _execute_plan(plan, h1, start, reserve, pool_colors)
+            result = _execute_plan(
+                plan, h1.graph, start, reserve, aux.colored.color_of
+            )
         except PoolExhausted:
             continue
         if not isinstance(result, RBCliqueWitness):
@@ -468,7 +447,8 @@ def bipartite_minor_pipeline(
 
 def validate_pipeline_report(g: Graph, report: PipelineReport) -> dict[str, bool]:
     """Check a report against its host: disjoint nonempty parts, parts
-    connected in g, all pairs joined, and a bipartite lift inside g."""
+    connected and all pairs joined by lift edges that are edges of g, and
+    a bipartite lift inside g."""
     checks = {}
     seen: set[int] = set()
     ok = True
@@ -479,24 +459,22 @@ def validate_pipeline_report(g: Graph, report: PipelineReport) -> dict[str, bool
             ok = False
         seen |= set(part)
     checks["parts_disjoint_nonempty"] = ok
+    lift = Graph(g.vertex_count, frozenset(e for e in report.lift_edges if e in g.edges))
     checks["parts_connected"] = all(
-        all(0 <= v < g.vertex_count for v in p) and g.is_connected_subset(p)
+        all(0 <= v < g.vertex_count for v in p) and lift.is_connected_subset(p)
         for p in report.parts
     )
     checks["pairs_joined"] = all(
-        any(g.has_edge(u, v) for u in report.parts[i] for v in report.parts[j])
+        any(lift.has_edge(u, v) for u in report.parts[i] for v in report.parts[j])
         for i in range(report.m_achieved)
         for j in range(i + 1, report.m_achieved)
     )
-    edge_ok = all(e in g.edges for e in report.lift_edges)
-    lift = Graph.from_edges(g.vertex_count, report.lift_edges) if edge_ok else None
-    bip_ok = False
-    if lift is not None:
-        side = report.partition_witness.side
-        bip_ok = set(side) >= set(v for e in report.lift_edges for v in e) and all(
-            side[u] != side[v] for u, v in report.lift_edges
-        )
-    checks["lift_bipartite"] = edge_ok and bip_ok
+    side = report.partition_witness.side
+    checks["lift_bipartite"] = (
+        all(e in g.edges for e in report.lift_edges)
+        and set(side) >= {v for e in report.lift_edges for v in e}
+        and all(side[u] != side[v] for u, v in report.lift_edges)
+    )
     checks["all"] = all(checks.values())
     return checks
 

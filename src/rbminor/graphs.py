@@ -197,34 +197,6 @@ class ColoredGraph:
         for u, v in self.graph.sorted_edges:
             yield u, v, RED if (u, v) in self.red else BLUE
 
-    def induced_on(self, vertices: Iterable[int]) -> ColoredGraph:
-        """Same vertex range, keeping only edges inside `vertices`."""
-        vs = set(vertices)
-        kept = frozenset(e for e in self.graph.edges if e[0] in vs and e[1] in vs)
-        return ColoredGraph(Graph(self.graph.vertex_count, kept), self.red & kept)
-
-    def with_colored_edges(
-        self, triples: Iterable[tuple[int, int, str]]
-    ) -> ColoredGraph:
-        """New coloured graph with extra edges; recolouring an edge is an error."""
-        new_edges = set(self.graph.edges)
-        new_red = set(self.red)
-        for u, v, color in triples:
-            e = edge_key(u, v)
-            if e in new_edges:
-                old = RED if e in new_red else BLUE
-                if old != color:
-                    raise ValueError(f"edge {e} already coloured {old}")
-                continue
-            _validate_edge(u, v, self.graph.vertex_count)
-            new_edges.add(e)
-            if color == RED:
-                new_red.add(e)
-            elif color != BLUE:
-                raise ValueError(f"unknown colour {color!r}")
-        return ColoredGraph(Graph(self.graph.vertex_count, frozenset(new_edges)),
-                            frozenset(new_red))
-
 
 @dataclass(frozen=True, eq=True)
 class Bipartition:

@@ -293,15 +293,13 @@ def _join_pairs(pool):
 
 
 def _run_connector(pool, mask, pairs, y_side):
-    n = max(pool) + 1
-    base = ColoredGraph(Graph.empty(n), frozenset())
     part = RBBipartition({0: 0, 1: y_side})
     parity = "even" if y_side == 0 else "odd"
     colors = {
         edge_key(a, b): RED if (mask >> i) & 1 else BLUE
         for i, (a, b) in enumerate(pairs)
     }
-    out = connect_pair(base, part, 0, 1, parity, pool, colors)
+    out = connect_pair(part, 0, 1, parity, pool, lambda a, b: colors[edge_key(a, b)])
     return _check_connector(out, colors, parity, pool)
 
 

@@ -502,6 +502,7 @@ def test_verify_pipeline_roundtrip_and_tamper(work, capsys):
 
     bad = json.loads(report.read_text())
     bad["parts"][0] = bad["parts"][1]  # overlap breaks disjointness
+    bad["roots"][0] = bad["roots"][1]
     broken = work / "broken.json"
     broken.write_text(rio.dumps(bad))
     code, doc = run(capsys, "verify", "pipeline", str(broken), "--graph", str(plain))
@@ -510,6 +511,7 @@ def test_verify_pipeline_roundtrip_and_tamper(work, capsys):
 
     bad = json.loads(report.read_text())
     bad["parts"][0] = [99]  # not a vertex of the host
+    bad["roots"][0] = 99
     broken.write_text(rio.dumps(bad))
     code, doc = run(capsys, "verify", "pipeline", str(broken), "--graph", str(plain))
     assert code == 2
@@ -523,6 +525,42 @@ def test_verify_pipeline_roundtrip_and_tamper(work, capsys):
     code, doc = run(capsys, "verify", "pipeline", str(broken), "--graph", str(plain))
     assert code == 2
     assert doc["payload"]["code"] == "ParseError"
+
+
+def k10_pipeline_payload(work, capsys):
+    plain = work / "k10.txt"
+    plain.write_text(rio.format_graph(Graph.complete(10)))
+    code, doc = run(capsys, "pipeline", str(plain))
+    assert code == 0
+    payload = doc["payload"]
+    del payload["checks"]
+    assert payload["parts"] == [[0], [1], [2, 3], [4, 5]]
+    return plain, payload
+
+
+def test_verify_pipeline_checks_the_minor_in_the_lift(work, capsys):
+    # K_10 joins every pair of parts and connects every part, so only the
+    # lift edges can show that the claimed minor is there
+    plain, payload = k10_pipeline_payload(work, capsys)
+    doc_file = work / "report.json"
+    for lift_edges, partition in (([], {}), (payload["lift_edges"][:-1], payload["partition"])):
+        doc_file.write_text(rio.dumps(dict(payload, lift_edges=lift_edges, partition=partition)))
+        code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
+        assert code == 2
+        checks = doc["payload"]["checks"]
+        assert checks["all"] is False and checks["lift_bipartite"] is True
+        assert not (checks["parts_connected"] and checks["pairs_joined"]), checks
+
+
+def test_verify_pipeline_refuses_roots_outside_their_parts(work, capsys):
+    plain, payload = k10_pipeline_payload(work, capsys)
+    doc_file = work / "report.json"
+    for roots in ([99, 1, 2, 4], [0], [0, 1, 3, 2], [0, 1, 2, 4, 5]):
+        doc_file.write_text(rio.dumps(dict(payload, roots=roots)))
+        code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
+        assert code == 2, roots
+        assert doc["payload"] == {"code": "ParseError",
+                                  "message": "malformed pipeline document"}, roots
 
 
 def test_verify_tk_roundtrip_and_tamper(work, capsys):

@@ -158,25 +158,29 @@ def complete_colors(vertices, color):
     return {edge_key(a, b): color for a, b in combinations(vertices, 2)}
 
 
+def pair_colors(colors):
+    """The colour function `color(u, v)` of a pair-keyed colour table."""
+    return lambda a, b: colors[edge_key(a, b)]
+
+
 def test_build_projector_covers_everyone():
     # members 0..3 placed on X; pool vertices connect by colour table
-    base = ColoredGraph(Graph.empty(10), frozenset())
     part = RBBipartition({0: 0, 1: 0, 2: 1, 3: 1})
     colors = {}
     for s in (4, 5, 6):
         for u in range(4):
             # red to X members, blue to Y members: placing s on Y covers all
             colors[edge_key(s, u)] = RED if part.side[u] == 0 else BLUE
-    chain, grown, newpart = build_projector(base, part, [0, 1, 2, 3], [4, 5, 6], colors)
+    chain, kept, newpart = build_projector(part, [0, 1, 2, 3], [4, 5, 6], pair_colors(colors))
     assert len(chain) == 1  # first pool vertex covers all four members
     s = chain[0]
-    assert all(grown.graph.has_edge(s, u) for u in range(4))
+    assert kept == [(s, u) for u in range(4)]
+    grown = ColoredGraph.from_edge_colors(10, [(a, b, colors[edge_key(a, b)]) for a, b in kept])
     assert newpart.is_valid_on_edges(grown)
 
 
 def test_build_projector_halving_bound():
     # adversarial colours: each pool vertex can cover only half
-    base = ColoredGraph(Graph.empty(12), frozenset())
     members = list(range(8))
     part = RBBipartition({u: 0 for u in members})
     pool = [8, 9, 10, 11]
@@ -186,26 +190,24 @@ def test_build_projector_halving_bound():
     colors.update({edge_key(9, u): RED if u < 6 else BLUE for u in members})
     colors.update({edge_key(10, u): RED if u < 7 else BLUE for u in members})
     colors.update({edge_key(11, u): RED for u in members})
-    chain, grown, newpart = build_projector(base, part, members, pool, colors)
+    chain, kept, newpart = build_projector(part, members, pool, pair_colors(colors))
     assert len(chain) <= 4  # floor(log2 8) + 1
     for u in members:
-        assert any(grown.graph.has_edge(s, u) for s in chain)
+        assert any((s, u) in kept for s in chain)
 
 
 def test_build_projector_pool_exhausted():
-    base = ColoredGraph(Graph.empty(4), frozenset())
     part = RBBipartition({0: 0, 1: 1})
     with pytest.raises(PoolExhausted):
-        build_projector(base, part, [0, 1], [], {})
+        build_projector(part, [0, 1], [], pair_colors({}))
 
 
 def test_connect_pair_direct_one_internal():
-    base = ColoredGraph(Graph.empty(5), frozenset())
     part = RBBipartition({0: 0, 1: 1})
     colors = {edge_key(0, 2): RED, edge_key(1, 2): BLUE,
               edge_key(0, 3): BLUE, edge_key(1, 3): BLUE,
               edge_key(2, 3): BLUE}
-    out = connect_pair(base, part, 0, 1, "odd", [2, 3], colors)
+    out = connect_pair(part, 0, 1, "odd", [2, 3], pair_colors(colors))
     assert isinstance(out, ConnectorPath)
     assert out.path == (0, 2, 1)
     assert out.internals == (2,)
@@ -214,14 +216,13 @@ def test_connect_pair_direct_one_internal():
 
 def test_connect_pair_two_internals():
     # no single vertex works: red-red or blue-blue to both endpoints
-    base = ColoredGraph(Graph.empty(6), frozenset())
     part = RBBipartition({0: 0, 1: 1})
     colors = {
         edge_key(0, 2): RED, edge_key(1, 2): RED,
         edge_key(0, 3): BLUE, edge_key(1, 3): BLUE,
         edge_key(2, 3): BLUE,
     }
-    out = connect_pair(base, part, 0, 1, "odd", [2, 3], colors)
+    out = connect_pair(part, 0, 1, "odd", [2, 3], pair_colors(colors))
     assert isinstance(out, ConnectorPath)
     assert len(out.internals) == 2
     # walk parity: number of red edges along the path must be odd
@@ -233,12 +234,11 @@ def test_connect_pair_two_internals():
 
 def test_connect_pair_witness_when_nothing_joins():
     # all pool edges blue everywhere: an even connection cannot exist
-    base = ColoredGraph(Graph.empty(7), frozenset())
     part = RBBipartition({0: 0, 1: 1})
     pool = [2, 3, 4, 5]
     colors = complete_colors([0, 1] + pool, BLUE)
     # x,y on opposite sides want odd parity; all-blue gives only even paths
-    out = connect_pair(base, part, 0, 1, "odd", pool, colors)
+    out = connect_pair(part, 0, 1, "odd", pool, pair_colors(colors))
     assert isinstance(out, RBCliqueWitness)
     assert out.order == 4
     assert set(out.vertices) == set(pool)
@@ -249,15 +249,14 @@ def test_connect_pair_witness_when_nothing_joins():
 
 
 def test_connect_pair_parity_validation():
-    base = ColoredGraph(Graph.empty(4), frozenset())
     part = RBBipartition({0: 0, 1: 1})
     colors = complete_colors([0, 1, 2], BLUE)
     with pytest.raises(ValueError):
-        connect_pair(base, part, 0, 1, "even", [2], colors)  # sides force odd
+        connect_pair(part, 0, 1, "even", [2], pair_colors(colors))  # sides force odd
     with pytest.raises(ValueError):
-        connect_pair(base, part, 0, 0, "even", [2], colors)
+        connect_pair(part, 0, 0, "even", [2], pair_colors(colors))
     with pytest.raises(ValueError):
-        connect_pair(base, part, 0, 1, "weird", [2], colors)
+        connect_pair(part, 0, 1, "weird", [2], pair_colors(colors))
 
 
 def test_pipeline_on_complete_host():
@@ -474,7 +473,8 @@ def test_pipeline_reports_are_pinned(monkeypatch):
     # one digest over the report, or the BudgetExhausted message, of every
     # G(h) with h = G(n, p), n = 3..12, p = 0.3 / 0.5 / 0.7 and seeds 0..7,
     # and of K_1..K_20, each at four epsilons: the repair-path layer of the
-    # outputs corpus, with the repair branches it runs counted
+    # outputs corpus, with the repair branches it runs counted and every
+    # report checked
     seen = count_repair_branches(monkeypatch)
     hosts = [
         lambda n=n, p=p, s=s: gh_model(random_graph(n, p, s))
@@ -484,11 +484,15 @@ def test_pipeline_reports_are_pinned(monkeypatch):
     records = []
     for host in hosts:
         for epsilon in (0.1, 0.25, 0.4, 0.6):
+            g, model = host()
             try:
-                records.append(report_digest(bipartite_minor_pipeline(*host(), epsilon)))
+                report = bipartite_minor_pipeline(g, model, epsilon)
             except BudgetExhausted as exc:
                 seen["budget_exhausted"] += 1
                 records.append(str(exc))
+                continue
+            assert validate_pipeline_report(g, report)["all"], (g, epsilon)
+            records.append(report_digest(report))
     assert len(records) == 1040
     assert seen == {"projector": 110, "pool_exhausted": 13, "connector": 9,
                     "witness": 29, "greedy": 9, "budget_exhausted": 8}, seen

@@ -105,22 +105,6 @@ def test_monochromatic():
     assert allred.red == g.edges
 
 
-def test_induced_on_keeps_vertex_range():
-    cg = ColoredGraph.from_edge_colors(4, [(0, 1, "R"), (1, 2, "B"), (2, 3, "R")])
-    sub = cg.induced_on([0, 1, 2])
-    assert sub.graph.vertex_count == 4
-    assert sub.graph.edges == frozenset({(0, 1), (1, 2)})
-    assert sub.red == frozenset({(0, 1)})
-
-
-def test_with_colored_edges_rejects_recolor():
-    cg = ColoredGraph.from_edge_colors(3, [(0, 1, "R")])
-    cg2 = cg.with_colored_edges([(1, 2, "B"), (0, 1, "R")])
-    assert cg2.graph.edge_count == 2
-    with pytest.raises(ValueError):
-        cg.with_colored_edges([(0, 1, "B")])
-
-
 def test_bipartition():
     p = Bipartition({0: 0, 1: 1, 2: 0})
     assert p.left() == (0, 2) and p.right() == (1,)

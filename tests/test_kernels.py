@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rbminor import kernels
+from rbminor import kernels, oracles
 from rbminor.constructions import derive_seed, keyed_uniform
 from rbminor.kernels import pykernels
 
@@ -238,6 +238,21 @@ def test_backends_agree(compiled_kernels):
             assert compiled_kernels.find_compatible(n, adj, t) == pykernels.find_compatible(
                 n, adj, t
             )
+    # denser draws up to the exact partition cap of 12 vertices, asked for t
+    # up to the order bound + 1.  A failing find_compatible search on 12
+    # vertices takes 1-3.4 s in pure Python, so there it is asked only
+    # where a K_t model exists
+    for n in (10, 11, 12):
+        for k, p in enumerate((0.5, 0.7)):
+            adj, _ = random_masks(n, p, derive_seed(1236, 2 * n + k))
+            for t in range(oracles._order_bound(adj) + 2):
+                model = pykernels.find_kt_model(n, adj, t)
+                assert compiled_kernels.find_kt_model(n, adj, t) == model
+                assert compiled_kernels.has_tk(n, adj, t) == pykernels.has_tk(n, adj, t)
+                if n < 12 or model is not None:
+                    assert compiled_kernels.find_compatible(
+                        n, adj, t
+                    ) == pykernels.find_compatible(n, adj, t)
 
 
 def test_shipped_c_quotes_the_current_pyx():
