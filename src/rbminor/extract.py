@@ -215,9 +215,9 @@ def connect_pair(
     """Join placed x and y through at most two pool vertices.
 
     The path is the first one `rb.rb_patch_path` accepts under the side
-    rule, `color(u, v)` giving the colour of the pair u-v.  When none exists that lemma makes the pool a complete
-    RB-bipartite graph, returned as a witness split by colour towards x
-    (Red on side 0).
+    rule, `color(u, v)` giving the colour of the pair u-v.  When none
+    exists that lemma makes the pool a complete RB-bipartite graph,
+    returned as a witness split by colour towards x (Red on side 0).
 
     parity must name the x-to-y Red parity implied by their sides:
     "even" when equal, "odd" when not.

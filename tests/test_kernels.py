@@ -239,8 +239,8 @@ def test_backends_agree(compiled_kernels):
                 n, adj, t
             )
     # denser draws up to the exact partition cap of 12 vertices, asked for t
-    # up to the order bound + 1.  A failing find_compatible search on 12
-    # vertices takes 1-3.4 s in pure Python, so there it is asked only
+    # up to the order bound + 1.  A failing find_compatible search on 11 or
+    # 12 vertices takes 0.2-3.4 s in pure Python, so there it is asked only
     # where a K_t model exists
     for n in (10, 11, 12):
         for k, p in enumerate((0.5, 0.7)):
@@ -249,7 +249,7 @@ def test_backends_agree(compiled_kernels):
                 model = pykernels.find_kt_model(n, adj, t)
                 assert compiled_kernels.find_kt_model(n, adj, t) == model
                 assert compiled_kernels.has_tk(n, adj, t) == pykernels.has_tk(n, adj, t)
-                if n < 12 or model is not None:
+                if n == 10 or model is not None:
                     assert compiled_kernels.find_compatible(
                         n, adj, t
                     ) == pykernels.find_compatible(n, adj, t)
