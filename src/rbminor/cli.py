@@ -18,8 +18,6 @@ from functools import cache
 from math import comb
 from pathlib import Path
 
-import mpmath
-
 from . import constructions, extract, io, models, oracles, rb, topological
 from .errors import (
     BudgetExhausted,
@@ -264,6 +262,8 @@ def _cmd_oracle(args) -> tuple[str, dict]:
 
 
 def _cmd_bound(args) -> tuple[str, dict]:
+    import mpmath
+
     ev = constructions.bce_probability_bound(args.n)
     hp = constructions.bce_probability_bound_hp(args.n)
     rel = abs(float(hp) - ev.log_failure_bound) / abs(float(hp))
@@ -335,10 +335,14 @@ _TK_DOC = {"branch": [int], "paths": [{"pair": (int, int), "path": [int]}],
 def _cmd_verify(args) -> tuple[str, dict]:
     doc = json.loads(_read(args.json))
     if args.kind == "pipeline":
-        # every part must hold its own root, as in a minor model
+        # every part must hold its own root, as in a minor model, and the
+        # reserve and the budget spent from it are counts
         if not io.has_shape(doc, _PIPELINE_DOC) or not (
             doc["m_achieved"] == len(doc["parts"]) == len(doc["roots"])
             and all(r in p for r, p in zip(doc["roots"], doc["parts"]))
+            and doc["reserve_size"] >= 0
+            and set(doc["budget"]) <= {"projector", "connector"}
+            and all(type(v) is int and v >= 0 for v in doc["budget"].values())
         ):
             raise ParseError("malformed pipeline document")
         g = io.expect_plain(io.parse_graph(_read(args.graph)))

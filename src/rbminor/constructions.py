@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-import mpmath
-
 from .errors import FormulaUndefined, InstanceTooLarge
 from .graphs import Bipartition, ColoredGraph, Graph
 from .kernels import has_tk
@@ -170,6 +168,8 @@ def bce_probability_bound(n: int) -> BoundEvaluation:
 
 def bce_probability_bound_hp(n: int, precision_bits: int = 256) -> mpmath.mpf:
     """Same exponent at fixed binary precision, for error control."""
+    import mpmath
+
     if n < 2:
         raise FormulaUndefined("n must be at least 2")
     with mpmath.workprec(precision_bits):

@@ -453,11 +453,12 @@ def validate_pipeline_report(g: Graph, report: PipelineReport) -> dict[str, bool
     seen: set[int] = set()
     ok = True
     for part in report.parts:
+        members = set(part)
         if not part or any(not 0 <= v < g.vertex_count for v in part):
             ok = False
-        if seen & set(part):
+        if len(members) != len(part) or seen & members:
             ok = False
-        seen |= set(part)
+        seen |= members
     checks["parts_disjoint_nonempty"] = ok
     lift = Graph(g.vertex_count, frozenset(e for e in report.lift_edges if e in g.edges))
     checks["parts_connected"] = all(

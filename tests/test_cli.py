@@ -8,13 +8,16 @@ exit code against the documented mapping: 0 success, 2 bad input,
 import copy
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -563,6 +566,36 @@ def test_verify_pipeline_refuses_roots_outside_their_parts(work, capsys):
                                   "message": "malformed pipeline document"}, roots
 
 
+def test_verify_pipeline_fails_a_part_that_repeats_a_vertex(work, capsys):
+    plain, payload = k10_pipeline_payload(work, capsys)
+    doc_file = work / "report.json"
+    for part in ([2, 3, 2, 3], [2, 3, 3], [2, 2]):
+        parts = payload["parts"][:2] + [part] + payload["parts"][3:]
+        doc_file.write_text(rio.dumps(dict(payload, parts=parts)))
+        code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
+        assert code == 2, part
+        checks = doc["payload"]["checks"]
+        assert checks["parts_disjoint_nonempty"] is False and checks["all"] is False, part
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reserve_size", -1),
+    ("budget", {"projector": 0, "bogus": 7}),
+    ("budget", {"projector": -5, "connector": 0}),
+    ("budget", {"projector": True}),
+    ("budget", {"connector": 1.5}),
+    ("budget", {"connector": "1"}),
+], ids=["negative-reserve", "unknown-key", "negative-spend", "bool-spend",
+        "float-spend", "string-spend"])
+def test_verify_pipeline_refuses_a_bad_reserve_or_budget(work, capsys, field, value):
+    plain, payload = k10_pipeline_payload(work, capsys)
+    doc_file = work / "report.json"
+    doc_file.write_text(rio.dumps(dict(payload, **{field: value})))
+    code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
+    assert code == 2
+    assert doc["payload"] == {"code": "ParseError", "message": "malformed pipeline document"}
+
+
 def test_verify_tk_roundtrip_and_tamper(work, capsys):
     host = work / "k14.txt"
     host.write_text(rio.format_colored(mono_complete(14, BLUE)))
@@ -743,5 +776,28 @@ def test_installed_console_script(work):
         [exe, "tk-bound", "--t", "3"], capture_output=True, text=True
     )
     assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["payload"]["min_order"] == 4
+
+
+def _python(*args):
+    """A fresh interpreter that imports rbminor from this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_leaves_mpmath_unloaded():
+    # only the counting bound's recheck needs mpmath; every other command
+    # starts without paying for its import
+    proc = _python("-c", "import sys, rbminor, rbminor.cli; print('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_module_runs_as_a_process():
+    proc = _python("-m", "rbminor.cli", "tk-bound", "--t", "3")
+    assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["payload"]["min_order"] == 4
