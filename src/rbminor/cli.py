@@ -335,14 +335,15 @@ _TK_DOC = {"branch": [int], "paths": [{"pair": (int, int), "path": [int]}],
 def _cmd_verify(args) -> tuple[str, dict]:
     doc = json.loads(_read(args.json))
     if args.kind == "pipeline":
-        # every part must hold its own root, as in a minor model, and the
-        # reserve and the budget spent from it are counts
+        # a minor model has at least one part, each holding its own root;
+        # the reserve and the budget spent from it are counts, and the
+        # pipeline never spends more than its reserve
         if not io.has_shape(doc, _PIPELINE_DOC) or not (
-            doc["m_achieved"] == len(doc["parts"]) == len(doc["roots"])
+            doc["m_achieved"] == len(doc["parts"]) == len(doc["roots"]) >= 1
             and all(r in p for r, p in zip(doc["roots"], doc["parts"]))
-            and doc["reserve_size"] >= 0
             and set(doc["budget"]) <= {"projector", "connector"}
             and all(type(v) is int and v >= 0 for v in doc["budget"].values())
+            and sum(doc["budget"].values()) <= doc["reserve_size"]
         ):
             raise ParseError("malformed pipeline document")
         g = io.expect_plain(io.parse_graph(_read(args.graph)))

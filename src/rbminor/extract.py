@@ -1,8 +1,10 @@
 """From a clique minor to a bipartite clique minor.
 
 `bipartite_minor_pipeline` runs one path from plan to report.  It
-minimises the input model, colours the auxiliary graph, and extracts a
-large RB-bipartite subgraph h1 of the active part.  Then, for part counts
+reads the input model's part trees and cross edges in host labels, by
+the minimisation rule of `models` but with no minimised copy, colours
+the auxiliary graph, and extracts a large RB-bipartite subgraph h1 of
+the active part.  Then, for part counts
 m from the largest any plan can reach down:
 
 - plan: pairwise-joined parts of h1, from the exact search
@@ -29,7 +31,7 @@ m from the largest any plan can reach down:
   count;
 - report: the parts grown by their repair vertices (or the witness
   vertices as singletons) are lifted to host edges by the lift rule of
-  `models` and relabelled to the host, in one place.
+  `models`, which reads the part trees in host labels.
 
 Everything stays RB-bipartite, so the lifted host subgraph is bipartite
 and the result is always a valid model, just possibly smaller than the
@@ -47,7 +49,7 @@ from typing import Callable, Sequence
 from .errors import BudgetExhausted, PoolExhausted
 from .graphs import RED, Bipartition, Graph, edge_key, is_bipartite
 from .kernels import find_compatible, find_kt_model
-from .models import MinorModel, _lift_edges, _minimize_with_map, build_auxiliary
+from .models import MinorModel, _auxiliary, _lift_edges
 from .oracles import _order_bound
 from .rb import RBBipartition, rb_add_vertex, rb_extract_half, rb_patch_path
 
@@ -358,9 +360,10 @@ def bipartite_minor_pipeline(
 ) -> PipelineReport:
     """Convert a clique minor of g into a bipartite one.
 
-    Minimises the model, reserves the last ceil(epsilon * n) auxiliary
-    vertices (at least 2), extracts an RB-bipartite half h1 of the active
-    auxiliary clique, and plans pairwise-joined parts of h1.  Above
+    Reads the model's part trees in host labels, reserves the last
+    ceil(epsilon * n) auxiliary vertices (at least 2), extracts an
+    RB-bipartite half h1 of the active auxiliary clique, and plans
+    pairwise-joined parts of h1.  Above
     EXACT_PARTITION_CAP active vertices the plan is one greedy partition
     into connected parts, kept whole with no reserve spend.  Up to the cap
     the exact search tries part counts downward from the order bound of
@@ -373,14 +376,15 @@ def bipartite_minor_pipeline(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    host_min, model_min, old_of_new = _minimize_with_map(g, model)
-    n = model_min.order
+    if model.host != g:
+        raise ValueError("model was built over a different host")
+    aux = _auxiliary(model)
+    n = model.order
     reserve_size = max(ceil(epsilon * n), 2)
     if reserve_size >= n:
         raise BudgetExhausted(
             f"reserving {reserve_size} of {n} auxiliary vertices leaves no active part"
         )
-    aux = build_auxiliary(model_min)
     active_count = n - reserve_size
     active = list(range(active_count))
     reserve = list(range(active_count, n))
@@ -423,20 +427,16 @@ def bipartite_minor_pipeline(
         raise BudgetExhausted("no part count survived the reserve budget")
     groups, aux_edges, budget = outcome
     used = [i for grp in groups for i in grp]
-    lift = sorted({
-        edge_key(old_of_new[u], old_of_new[v])
-        for u, v in _lift_edges(model_min, used, aux_edges)
-    })
+    lift = sorted(set(_lift_edges(model, aux, used, aux_edges)))
     witness = is_bipartite(Graph.from_edges(g.vertex_count, lift))
     if not isinstance(witness, Bipartition):  # pragma: no cover
         raise AssertionError("lift lost bipartiteness")
     return PipelineReport(
         m_achieved=len(groups),
         parts=tuple(
-            tuple(sorted(old_of_new[v] for i in grp for v in model_min.parts[i]))
-            for grp in groups
+            tuple(sorted(v for i in grp for v in model.parts[i])) for grp in groups
         ),
-        roots=tuple(old_of_new[model_min.roots[min(grp)]] for grp in groups),
+        roots=tuple(model.roots[min(grp)] for grp in groups),
         lift_edges=tuple(lift),
         partition_witness=witness,
         reserve_size=reserve_size,

@@ -241,11 +241,21 @@ def graph_json(g: Graph) -> dict[str, Any]:
     }
 
 
+def _int_ids(g: Graph) -> Graph:
+    """g, once every vertex id of its edges is exactly an int (not a bool
+    or a float that the build compared and hashed as one)."""
+    for e in g.edges:
+        for v in e:
+            if type(v) is not int:
+                raise ValueError(f"vertex id {v!r} is not an integer")
+    return g
+
+
 def graph_from_json(obj: Any) -> Graph:
     try:
         n, edges = int(obj["vertex_count"]), obj["edges"]
         _check_size(n, len(edges))
-        return Graph.from_edges(n, edges)
+        return _int_ids(Graph.from_edges(n, edges))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph object: {exc}") from None
 
@@ -261,7 +271,9 @@ def colored_from_json(obj: Any) -> ColoredGraph:
     try:
         n, edges = int(obj["vertex_count"]), obj["edges"]
         _check_size(n, len(edges))
-        return ColoredGraph.from_edge_colors(n, edges)
+        cg = ColoredGraph.from_edge_colors(n, edges)
+        _int_ids(cg.graph)
+        return cg
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coloured-graph object: {exc}") from None
 

@@ -1,38 +1,33 @@
 """Minor models, minimisation, and the two-coloured auxiliary graph.
 
 A model assigns disjoint connected host parts, pairwise joined by at least
-one edge.  Minimising prunes each part to a spanning tree and each pair to
-a single cross edge, after which the root-to-root path between two parts
-is unique ("canonical"): it climbs from the pair's cross edge x-y to root i
+one edge.  The minimisation rule keeps each part's BFS tree from its root
+(neighbours in increasing order) and each pair's lex-smallest cross edge;
+it has one home, `_part_trees`, which reads any valid model in host
+labels.  In the kept subgraph the root-to-root path between two parts is
+unique ("canonical"): it climbs from the pair's cross edge x-y to root i
 in part i's tree and to root j in part j's.  The auxiliary graph records,
 for every pair, the parity of that path: Red for odd length, Blue for even,
-read off the tree depths of x and y.  Paths are built only when read.  Odd
-cycles in any partial lift correspond to red-odd circuits in the auxiliary
-graph and vice versa; both directions are implemented below.
+read off the tree depths of x and y.  The pipeline reads the part trees of
+its input model this way, in host labels; `minimize_model` relabels them
+into a minimised copy.  Paths are built only when read.  Odd cycles in any
+partial lift correspond to red-odd circuits in the auxiliary graph and vice
+versa; both directions are implemented below.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAModel, NotInLift
-from .graphs import BLUE, RED, ColoredGraph, Graph, edge_key
+from .graphs import ColoredGraph, Graph, edge_key
 
 
 @dataclass(frozen=True)
 class MinorModel:
-    """Disjoint sorted parts of a host graph, one root per part.
-
-    The first check that needs it builds one cross-edge table (_pair_table)
-    in a single pass over host.edges: part pair (i, j) with i <= j -> the
-    host edges between them, the edges inside part i when i == j.
-    validate, cross_edges, the minimised-model check and the lift rule
-    all read it.
-    """
+    """Disjoint sorted parts of a host graph, one root per part."""
 
     host: Graph
     parts: tuple[tuple[int, ...], ...]
@@ -81,85 +76,87 @@ class MinorModel:
                 where[v] = i
         return where
 
-    @cached_property
-    def _pair_table(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """(i, j) with i <= j -> host edges between parts i and j (inside
-        part i when i == j), each list in host.edges order."""
-        where = self.part_of()
-        table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for e in self.host.edges:
-            i = where.get(e[0])
-            j = where.get(e[1])
-            if i is not None and j is not None:
-                table.setdefault((i, j) if i <= j else (j, i), []).append(e)
-        return table
-
     def validate(self) -> None:
         """Connectivity and pairwise adjacency; raises NotAModel."""
-        for i, part in enumerate(self.parts):
-            if not self.host.is_connected_subset(part):
-                raise NotAModel(f"part {i} is not connected in the host")
-        table = self._pair_table
-        for i in range(self.order):
-            for j in range(i + 1, self.order):
-                if (i, j) not in table:
-                    raise NotAModel(f"parts {i} and {j} share no edge")
-
-    def cross_edges(self, i: int, j: int) -> list[tuple[int, int]]:
-        k = self.order
-        i, j = sorted((range(k)[i], range(k)[j]))
-        return sorted(self._pair_table.get((i, j), ()))
+        _part_trees(self)
 
 
-def _minimize_with_map(
-    host: Graph, model: MinorModel
-) -> tuple[Graph, MinorModel, list[int]]:
-    """Minimise in one pass over the parts and one over the pairs, which
-    also check the model: each part's BFS spanning tree from its root
-    (neighbours in increasing order) must reach the whole part, and each
-    pair's lex-smallest cross edge must exist."""
-    if model.host != host:
-        raise ValueError("model was built over a different host")
-    kept: list[tuple[int, int]] = []
-    for i, (part, root) in enumerate(zip(model.parts, model.roots)):
-        inside = set(part)
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in sorted(host.adjacency[x] & inside):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-                    kept.append(edge_key(x, y))
-        if seen != inside:
+def _part_trees(
+    model: MinorModel,
+) -> tuple[list[int], list[int], dict[tuple[int, int], tuple[int, int]]]:
+    """The minimisation rule of any model, in host labels, checked on the way.
+
+    One pass over host.edges keeps the edges inside each part and the
+    lex-smallest edge between each pair of parts.  Returns (parent, depth,
+    cross): parent and depth give each part's BFS tree from its root,
+    neighbours taken in increasing order (a vertex outside every part is
+    its own parent, at depth -1), and cross maps each (i, j) with i < j,
+    in increasing order, to the pair's kept edge, its part-i end first.
+    Raises NotAModel for the first part its tree does not span, else for
+    the first pair with no edge.
+    """
+    n = model.host.vertex_count
+    where = [-1] * n
+    for i, part in enumerate(model.parts):
+        for v in part:
+            where[v] = i
+    inside: dict[int, list[int]] = {}
+    least: dict[tuple[int, int], tuple[int, int]] = {}
+    for e in model.host.edges:
+        u, v = e
+        i, j = where[u], where[v]
+        if i < 0 or j < 0:
+            continue
+        if i == j:
+            inside.setdefault(u, []).append(v)
+            inside.setdefault(v, []).append(u)
+            continue
+        pair = (i, j) if i < j else (j, i)
+        kept = least.get(pair)
+        if kept is None or e < kept:
+            least[pair] = e
+    parent = list(range(n))
+    depth = [-1] * n
+    for i, root in enumerate(model.roots):
+        depth[root] = 0
+        reached = [root]
+        for x in reached:
+            for y in sorted(inside.get(x, ())):
+                if depth[y] < 0:
+                    parent[y] = x
+                    depth[y] = depth[x] + 1
+                    reached.append(y)
+        if len(reached) != len(model.parts[i]):
             raise NotAModel(f"part {i} is not connected in the host")
-    table = model._pair_table
+    cross: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in combinations(range(model.order), 2):
-        if (i, j) not in table:
+        e = least.get((i, j))
+        if e is None:
             raise NotAModel(f"parts {i} and {j} share no edge")
-        kept.append(min(table[(i, j)]))  # lex-smallest survivor
-    old_of_new = sorted(v for part in model.parts for v in part)
-    relabel = {old: new for new, old in enumerate(old_of_new)}
-    new_host = Graph.from_edges(
-        len(old_of_new), [(relabel[u], relabel[v]) for u, v in kept]
-    )
-    new_model = MinorModel.create(
-        new_host,
-        [tuple(relabel[v] for v in part) for part in model.parts],
-        [relabel[r] for r in model.roots],
-    )
-    return new_host, new_model, old_of_new
+        cross[(i, j)] = e if where[e[0]] == i else (e[1], e[0])
+    return parent, depth, cross
 
 
 def minimize_model(host: Graph, model: MinorModel) -> tuple[Graph, MinorModel]:
     """Prune to part spanning trees and one cross edge per pair.
 
     Vertices outside every part are dropped and the survivors relabelled
-    densely (0..k-1) in increasing old-label order.  The lex-smallest cross
-    edge of each pair survives; roots carry over.
+    densely (0..k-1) in increasing old-label order, which keeps the BFS
+    trees and lex-smallest cross edges of `_part_trees`; roots carry over.
     """
-    new_host, new_model, _ = _minimize_with_map(host, model)
+    if model.host != host:
+        raise ValueError("model was built over a different host")
+    parent, _, cross = _part_trees(model)
+    survivors = sorted(v for part in model.parts for v in part)
+    new = {old: i for i, old in enumerate(survivors)}
+    edges = [(new[parent[v]], new[v]) for v in survivors if parent[v] != v]
+    edges.extend((new[x], new[y]) for x, y in cross.values())
+    new_host = Graph.from_edges(len(survivors), edges)
+    new_model = MinorModel.create(
+        new_host,
+        [tuple(new[v] for v in part) for part in model.parts],
+        [new[r] for r in model.roots],
+    )
     return new_host, new_model
 
 
@@ -169,9 +166,10 @@ class AuxiliaryGraph:
 
     Edge (i, j) is Red exactly when the canonical path between roots i and
     j has odd length.  parent maps each host vertex to its parent in its
-    part's tree (a root to itself), and cross maps (i, j) with i < j to the
-    pair's cross edge, its part-i end first; path(i, j) climbs from both
-    ends of that edge to the roots, so paths are built only when read.
+    part's tree (a root, or a vertex in no part, to itself), and cross maps
+    (i, j) with i < j to the pair's cross edge, its part-i end first;
+    path(i, j) climbs from both ends of that edge to the roots, so paths
+    are built only when read.
     """
 
     colored: ColoredGraph
@@ -197,70 +195,51 @@ class AuxiliaryGraph:
         return self.colored.graph.vertex_count
 
 
+def _auxiliary(model: MinorModel) -> AuxiliaryGraph:
+    """The auxiliary graph of any valid model, in host labels.
+
+    Pair (i, j) with cross edge x-y is Red iff depth(x) + depth(y) is even:
+    the canonical path has length depth(x) + 1 + depth(y)."""
+    parent, depth, cross = _part_trees(model)
+    red = frozenset(
+        pair for pair, (x, y) in cross.items() if (depth[x] + depth[y]) % 2 == 0
+    )
+    colored = ColoredGraph(Graph(model.order, frozenset(cross)), red)
+    return AuxiliaryGraph(colored, tuple(parent), cross)
+
+
 def build_auxiliary(model: MinorModel) -> AuxiliaryGraph:
     """Colour every part pair by the parity of its canonical path.
 
     The model must be minimised, else NotAModel: the parts cover the host,
-    each induces a tree, walked once from its root for parents and depths,
-    and each pair has one cross edge x-y, Red iff depth(x) + depth(y) is
-    even (the path has length depth(x) + 1 + depth(y))."""
-    n = model.host.vertex_count
-    if set().union(*model.parts) != set(range(n)):
+    the model is valid, and the host has n - k + C(k, 2) edges.  A valid
+    model that covers the host has at least that many, |P| - 1 inside each
+    connected part P and one across each joined pair, and exactly that
+    many when each part induces a tree and each pair has one cross edge."""
+    n, k = model.host.vertex_count, model.order
+    if sum(map(len, model.parts)) != n:  # parts are disjoint and in range
         raise NotAModel("minimised model must cover every host vertex")
-    table = model._pair_table
-    parent = list(range(n))
-    depth = [-1] * n
-    where = model.part_of()
-    for i, (part, root) in enumerate(zip(model.parts, model.roots)):
-        tree = table.get((i, i), ())
-        if len(tree) != len(part) - 1:
-            raise NotAModel(f"part {i} does not induce a tree")
-        nbr: dict[int, list[int]] = {v: [] for v in part}
-        for u, v in tree:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        depth[root] = 0
-        reached = [root]
-        for x in reached:
-            for y in nbr[x]:
-                if depth[y] < 0:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    reached.append(y)
-        if len(reached) != len(part):
-            raise NotAModel(f"part {i} is not connected")
-    cross: dict[tuple[int, int], tuple[int, int]] = {}
-    triples = []
-    for i in range(model.order):
-        for j in range(i + 1, model.order):
-            edges = table.get((i, j), ())
-            if len(edges) != 1:
-                raise NotAModel(f"parts {i}, {j} need exactly one cross edge")
-            x, y = edges[0]
-            cross[(i, j)] = (x, y) if where[x] == i else (y, x)
-            triples.append((i, j, BLUE if (depth[x] + depth[y]) % 2 else RED))
-    return AuxiliaryGraph(
-        ColoredGraph.from_edge_colors(model.order, triples), tuple(parent), cross
-    )
-
-
-def _cross_edge(model: MinorModel, i: int, j: int) -> tuple[int, int]:
-    edges = model.cross_edges(i, j)
-    if len(edges) != 1:
-        raise NotAModel(f"parts {i}, {j} need exactly one cross edge")
-    return edges[0]
+    aux = _auxiliary(model)
+    if model.host.edge_count != n - k + k * (k - 1) // 2:
+        raise NotAModel(
+            "minimised model needs a tree per part and one cross edge per pair"
+        )
+    return aux
 
 
 def _lift_edges(
     model: MinorModel,
+    aux: AuxiliaryGraph,
     parts: Iterable[int],
     pairs: Iterable[tuple[int, int]],
 ) -> list[tuple[int, int]]:
-    """The lift rule: the tree of each listed part plus the one cross edge
-    of each listed part pair, in host labels."""
-    table = model._pair_table
-    edges = [e for i in parts for e in table.get((i, i), ())]
-    edges.extend(_cross_edge(model, i, j) for i, j in pairs)
+    """The lift rule: the tree of each listed part plus the cross edge of
+    each listed part pair, in host labels."""
+    parent = aux.parent
+    edges = [
+        edge_key(parent[v], v) for i in parts for v in model.parts[i] if parent[v] != v
+    ]
+    edges.extend(edge_key(*aux.cross[edge_key(i, j)]) for i, j in pairs)
     return edges
 
 
@@ -268,7 +247,7 @@ def lift_subgraph(
     model: MinorModel, aux: AuxiliaryGraph, sub: Iterable[tuple[int, int]]
 ) -> Graph:
     """Host subgraph: all part trees plus the cross edge of each pair in sub."""
-    if aux.order != model.order:
+    if aux.order != model.order or len(aux.parent) != model.host.vertex_count:
         raise ValueError("auxiliary graph does not match the model")
     pairs = set()
     for i, j in sub:
@@ -277,7 +256,7 @@ def lift_subgraph(
             raise ValueError(f"bad part pair ({i}, {j})")
         pairs.add((a, b))
     return Graph.from_edges(
-        model.host.vertex_count, _lift_edges(model, range(model.order), pairs)
+        model.host.vertex_count, _lift_edges(model, aux, range(model.order), pairs)
     )
 
 

@@ -578,19 +578,21 @@ def test_verify_pipeline_fails_a_part_that_repeats_a_vertex(work, capsys):
         assert checks["parts_disjoint_nonempty"] is False and checks["all"] is False, part
 
 
-@pytest.mark.parametrize("field, value", [
-    ("reserve_size", -1),
-    ("budget", {"projector": 0, "bogus": 7}),
-    ("budget", {"projector": -5, "connector": 0}),
-    ("budget", {"projector": True}),
-    ("budget", {"connector": 1.5}),
-    ("budget", {"connector": "1"}),
+@pytest.mark.parametrize("changes", [
+    {"reserve_size": -1},
+    {"budget": {"projector": 0, "bogus": 7}},
+    {"budget": {"projector": -5, "connector": 0}},
+    {"budget": {"projector": True}},
+    {"budget": {"connector": 1.5}},
+    {"budget": {"connector": "1"}},
+    {"m_achieved": 0, "parts": [], "roots": []},
+    {"reserve_size": 0, "budget": {"projector": 5, "connector": 9}},
 ], ids=["negative-reserve", "unknown-key", "negative-spend", "bool-spend",
-        "float-spend", "string-spend"])
-def test_verify_pipeline_refuses_a_bad_reserve_or_budget(work, capsys, field, value):
+        "float-spend", "string-spend", "no-parts", "spend-above-reserve"])
+def test_verify_pipeline_refuses_a_bad_reserve_or_budget(work, capsys, changes):
     plain, payload = k10_pipeline_payload(work, capsys)
     doc_file = work / "report.json"
-    doc_file.write_text(rio.dumps(dict(payload, **{field: value})))
+    doc_file.write_text(rio.dumps(dict(payload, **changes)))
     code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
     assert code == 2
     assert doc["payload"] == {"code": "ParseError", "message": "malformed pipeline document"}

@@ -131,6 +131,12 @@ def test_json_errors_are_worded_by_the_in_order_loop():
         (io.colored_from_json, [[None, 1, "R"]], "bad coloured-graph object: int()"
          " argument must be a string, a bytes-like object or a real number, not"
          " 'NoneType'"),
+        (io.graph_from_json, [[0, 1.5]],
+         "bad graph object: vertex id 1.5 is not an integer"),
+        (io.graph_from_json, [[True, 2]],
+         "bad graph object: vertex id True is not an integer"),
+        (io.colored_from_json, [[0, 1.5, "B"]],
+         "bad coloured-graph object: vertex id 1.5 is not an integer"),
     ]
     for parse, edges, message in cases:
         with pytest.raises(ParseError) as exc:

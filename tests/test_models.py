@@ -7,7 +7,7 @@ file pins the mechanics on hand-built and small random instances.
 
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -44,7 +44,6 @@ def test_create_and_validate():
     assert m.order == 3
     assert m.roots == (0, 2, 4)
     assert m.part_of() == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
-    assert m.cross_edges(0, 1) == [(1, 2)]
 
 
 def test_structural_rejections():
@@ -281,7 +280,7 @@ def test_lift_equivalence_sampled():
     assert agreements == 40
 
 
-# --- the cross-edge table against a per-pair scan ---------------------------
+# --- the minimisation rule against a per-pair scan --------------------------
 
 
 def _scan_pair(host, a, b):
@@ -305,14 +304,16 @@ def _scan_check_minimized(model):
     sets = [set(p) for p in model.parts]
     if set().union(*sets) != set(range(model.host.vertex_count)):
         raise NotAModel("minimised model must cover every host vertex")
-    for i, part in enumerate(model.parts):
-        if len(_scan_pair(model.host, sets[i], sets[i])) != len(part) - 1:
-            raise NotAModel(f"part {i} does not induce a tree")
-        if not model.host.is_connected_subset(part):
-            raise NotAModel(f"part {i} is not connected")
-    for i, j in combinations(range(len(sets)), 2):
-        if len(_scan_pair(model.host, sets[i], sets[j])) != 1:
-            raise NotAModel(f"parts {i}, {j} need exactly one cross edge")
+    _scan_validate(model)
+    trees = all(len(_scan_pair(model.host, s, s)) == len(s) - 1 for s in sets)
+    single = all(
+        len(_scan_pair(model.host, sets[i], sets[j])) == 1
+        for i, j in combinations(range(len(sets)), 2)
+    )
+    if not (trees and single):
+        raise NotAModel(
+            "minimised model needs a tree per part and one cross edge per pair"
+        )
 
 
 def _scan_lift_edges(model, parts, pairs):
@@ -369,28 +370,53 @@ def test_pair_table_matches_a_per_pair_scan():
     for model in _seeded_models(300):
         k = model.order
         sets = [set(p) for p in model.parts]
-        for i in range(k):
-            for j in range(k):
-                assert model.cross_edges(i, j) == _scan_pair(model.host, sets[i], sets[j])
-        assert model.cross_edges(-1, 0) == model.cross_edges(k - 1, 0)
         valid = _outcome(model.validate)
         assert valid == _outcome(_scan_validate, model)
         if valid[0] != "ok":  # minimising checks the model on its own
             assert _outcome(minimize_model, model.host, model) == valid
         minimised = _outcome(_check_minimized, model)
         assert minimised == _outcome(_scan_check_minimized, model)
-        all_pairs = list(combinations(range(k), 2))
-        for parts, pairs in (
-            (range(k), all_pairs),
-            (range(k - 1, -1, -1), all_pairs[::2]),
-            ([0], []),
-        ):
-            assert _outcome(_lift_edges, model, parts, pairs) == _outcome(
-                _scan_lift_edges, model, parts, pairs
-            )
+        if minimised[0] == "ok":
+            aux = build_auxiliary(model)
+            all_pairs = list(combinations(range(k), 2))
+            for parts, pairs in (
+                (range(k), all_pairs),
+                (range(k - 1, -1, -1), all_pairs[::2]),
+                ([0], []),
+            ):
+                assert sorted(_lift_edges(model, aux, parts, pairs)) == sorted(
+                    _scan_lift_edges(model, parts, pairs)
+                )
         seen["valid"] += valid[0] == "ok"
         seen["minimised"] += minimised[0] == "ok"
         seen["uncovered"] += set().union(*sets) != set(range(model.host.vertex_count))
     assert min(seen.values()) >= 30, seen
-    with pytest.raises(IndexError):
-        cycle_model().cross_edges(0, 3)
+
+
+def test_host_label_auxiliary_matches_the_minimised_copy():
+    """The pipeline reads the auxiliary graph of its input model in host
+    labels; it must be build_auxiliary of the minimised copy, relabelled."""
+    from rbminor.models import _auxiliary, _lift_edges
+
+    checked = 0
+    models = [*_seeded_models(300), *map(random_tree_model, range(100))]
+    for model in models:
+        if _outcome(model.validate)[0] != "ok":
+            continue
+        aux = _auxiliary(model)
+        _, small_model = minimize_model(model.host, model)
+        small = build_auxiliary(small_model)
+        old = sorted(v for part in model.parts for v in part)  # new label -> old
+        assert aux.colored == small.colored
+        assert aux.cross == {
+            pair: (old[x], old[y]) for pair, (x, y) in small.cross.items()
+        }
+        for i, j in permutations(range(model.order), 2):
+            assert aux.path(i, j) == tuple(old[v] for v in small.path(i, j))
+        k = model.order
+        pairs = list(combinations(range(k), 2))
+        assert sorted(_lift_edges(model, aux, range(k), pairs)) == sorted(
+            (old[u], old[v]) for u, v in _lift_edges(small_model, small, range(k), pairs)
+        )
+        checked += 1
+    assert checked >= 200, checked
