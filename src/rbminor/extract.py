@@ -4,8 +4,8 @@
 reads the input model's part trees and cross edges in host labels, by
 the minimisation rule of `models` but with no minimised copy, colours
 the auxiliary graph, and extracts a large RB-bipartite subgraph h1 of
-the active part.  Then, for part counts
-m from the largest any plan can reach down:
+the active part.  Then, for part counts m from the largest any plan can
+reach down:
 
 - plan: pairwise-joined parts of h1, from the exact search
   (`_exact_plan`: `find_kt_model`, then `find_compatible`) while at most
@@ -363,15 +363,15 @@ def bipartite_minor_pipeline(
     Reads the model's part trees in host labels, reserves the last
     ceil(epsilon * n) auxiliary vertices (at least 2), extracts an
     RB-bipartite half h1 of the active auxiliary clique, and plans
-    pairwise-joined parts of h1.  Above
-    EXACT_PARTITION_CAP active vertices the plan is one greedy partition
-    into connected parts, kept whole with no reserve spend.  Up to the cap
-    the exact search tries part counts downward from the order bound of
-    h1, not from its n active vertices, since no larger count has a plan,
-    and repairs scattered parts with projectors and connectors.  A step
-    that exhausts the reserve retreats to the next smaller count; a
-    complete RB-bipartite pool witness is kept when it beats the planned
-    count.  The report is always a valid bipartite minor model in g's own
+    pairwise-joined parts of h1.  Above EXACT_PARTITION_CAP active
+    vertices the plan is one greedy partition into connected parts, kept
+    whole with no reserve spend.  Up to the cap the exact search tries
+    part counts downward from the order bound of h1, not from its n
+    active vertices, since no larger count has a plan, and repairs
+    scattered parts with projectors and connectors.  A step that
+    exhausts the reserve retreats to the next smaller count; a complete
+    RB-bipartite pool witness is kept when it beats the planned count.
+    The report is always a valid bipartite minor model in g's own
     labels.
     """
     if not 0.0 < epsilon < 1.0:

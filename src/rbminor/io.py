@@ -242,8 +242,9 @@ def graph_json(g: Graph) -> dict[str, Any]:
 
 
 def _int_ids(g: Graph) -> Graph:
-    """g, once every vertex id of its edges is exactly an int (not a bool
-    or a float that the build compared and hashed as one)."""
+    """g, after checking that each vertex id in its edges is exactly an
+    int: the build takes a bool or a whole float, which compare and hash
+    like ints."""
     for e in g.edges:
         for v in e:
             if type(v) is not int:

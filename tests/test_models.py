@@ -364,7 +364,7 @@ def _check_minimized(model):
 
 
 def test_pair_table_matches_a_per_pair_scan():
-    from rbminor.models import _lift_edges
+    from rbminor.models import _lift_edges, _part_trees
 
     seen = {"valid": 0, "minimised": 0, "uncovered": 0}
     for model in _seeded_models(300):
@@ -374,6 +374,12 @@ def test_pair_table_matches_a_per_pair_scan():
         assert valid == _outcome(_scan_validate, model)
         if valid[0] != "ok":  # minimising checks the model on its own
             assert _outcome(minimize_model, model.host, model) == valid
+        else:  # each pair keeps its lex-smallest edge, part-i end first
+            cross = _part_trees(model)[2]
+            assert list(cross) == list(combinations(range(k), 2))
+            for (i, j), (x, y) in cross.items():
+                assert x in sets[i] and y in sets[j]
+                assert (min(x, y), max(x, y)) == _scan_pair(model.host, sets[i], sets[j])[0]
         minimised = _outcome(_check_minimized, model)
         assert minimised == _outcome(_scan_check_minimized, model)
         if minimised[0] == "ok":
