@@ -11,6 +11,7 @@ import pytest
 from rbminor import extract, oracles
 from rbminor.constructions import (
     derive_seed,
+    gh_max_bipartite_hadwiger,
     gh_model,
     random_coloring,
     random_graph,
@@ -528,6 +529,55 @@ GH_ABOVE_CAP = {
 }
 # the blob prototype of ROADMAP item 1, a floor for the pins above
 GH_PROTOTYPE = {18: (7, 7, 7), 20: (7, 8, 8), 24: (9, 7, 9), 32: (10, 11, 11)}
+
+
+# (pipeline m at epsilon 0.25, gh_max_bipartite_hadwiger) on G(h) with
+# h = G(n, p) and seeds 0..7, one digit per seed
+FRONTIER = {
+    (3, 0.3): ("11111111", "32223322"),
+    (3, 0.5): ("11111111", "22332322"),
+    (3, 0.7): ("11111111", "22222233"),
+    (4, 0.3): ("22222222", "33433433"),
+    (4, 0.5): ("22222222", "33333343"),
+    (4, 0.7): ("22222222", "33333333"),
+    (5, 0.3): ("23223322", "44444443"),
+    (5, 0.5): ("23332322", "44443344"),
+    (5, 0.7): ("23222332", "44343443"),
+    (6, 0.3): ("33333333", "44455455"),
+    (6, 0.5): ("33333333", "45545445"),
+    (6, 0.7): ("33333333", "44554445"),
+    (7, 0.3): ("34344544", "55556655"),
+    (7, 0.5): ("45434434", "56555555"),
+    (7, 0.7): ("44333444", "55555555"),
+    (8, 0.3): ("44545545", "55666665"),
+    (8, 0.5): ("45544454", "56655666"),
+    (8, 0.7): ("55544444", "66666665"),
+    (9, 0.3): ("45445554", "66666776"),
+    (9, 0.5): ("44444555", "66666766"),
+    (9, 0.7): ("45445455", "66766767"),
+    (10, 0.3): ("55555655", "77777777"),
+    (10, 0.5): ("45555555", "77777777"),
+    (10, 0.7): ("55555555", "77777777"),
+}
+
+
+def test_pipeline_frontier_against_the_optimum():
+    # the lift is a bipartite subgraph of G(h) with a K_m minor, so m can
+    # never pass the optimum over all bipartite subgraphs
+    achieved = {}
+    for n, p in FRONTIER:
+        ms = opts = ""
+        for s in range(8):
+            h = random_graph(n, p, s)
+            g, model = gh_model(h)
+            report = bipartite_minor_pipeline(g, model, 0.25)
+            assert validate_pipeline_report(g, report)["all"], (n, p, s)
+            opt, _ = gh_max_bipartite_hadwiger(h)
+            assert report.m_achieved <= opt, (n, p, s)
+            ms += str(report.m_achieved)
+            opts += str(opt)
+        achieved[(n, p)] = (ms, opts)
+    assert achieved == FRONTIER
 
 
 def test_pipeline_reaches_the_order_bound_on_cliques(monkeypatch):
