@@ -23,6 +23,7 @@ from .oracles import (
     _bipartitions,
     _crossing_masks,
     _max_hadwiger_scan,
+    _rb_kept,
     hadwiger_oracle,
     tcl_oracle,
 )
@@ -197,23 +198,13 @@ def gh_max_bipartite_hadwiger(h: Graph) -> tuple[int, Bipartition]:
 
         (N_h(v) & other side) | (non-neighbours of v & own side),
 
-    and G(h) itself is never built.  The returned bipartition covers the
-    core vertices only.
+    the kept-mask rule `oracles._rb_kept` of the complete graph coloured
+    Red on h's edges, and G(h) itself is never built.  The returned
+    bipartition covers the core vertices only.
     """
-    n = h.vertex_count
     adj = h.adjacency_masks
-    full = (1 << n) - 1
-    non = [full & ~mask & ~(1 << v) for v, mask in enumerate(adj)]
-
-    def kept(ones: int) -> list[int]:
-        zeros = full ^ ones
-        return [
-            adj[v] & zeros | non[v] & ones if ones >> v & 1
-            else adj[v] & ones | non[v] & zeros
-            for v in range(n)
-        ]
-
-    return _max_hadwiger_scan(adj, kept, n)  # no K_{n+1} minor on n vertices
+    # no K_{n+1} minor on n vertices
+    return _max_hadwiger_scan(adj, _rb_kept(adj), h.vertex_count)
 
 
 @dataclass(frozen=True)

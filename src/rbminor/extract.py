@@ -1,58 +1,53 @@
 """From a clique minor to a bipartite clique minor.
 
-`bipartite_minor_pipeline` runs one path from plan to report.  It
-reads the input model's part trees and cross edges in host labels, by
-the minimisation rule of `models` but with no minimised copy, colours
-the auxiliary graph, and extracts a large RB-bipartite subgraph h1 of
-the active part.  Then, for part counts m from the largest any plan can
-reach down:
+`bipartite_minor_pipeline` reads the input model's part trees and cross
+edges in host labels, by the minimisation rule of `models` but with no
+minimised copy, and colours the complete auxiliary graph on its k parts.
+Every RB-bipartite subgraph h of that graph (Red pairs crossing the two
+sides, Blue pairs inside one) lifts to a bipartite host subgraph, so a
+K_m model of h, its parts connected in h and pairwise joined, lifts to a
+bipartite K_m minor of the host.  The pipeline plans one such model on
+one h, chosen by k:
 
-- plan: pairwise-joined parts of h1, from the exact search
-  (`_exact_plan`: `find_kt_model`, then `find_compatible`) while at most
-  EXACT_PARTITION_CAP vertices are active, and above the cap from
-  `greedy_compatible_partition`, made once per call, whose parts are
-  connected in h1 and so are taken whole without repair.  The exact
-  search starts at the order bound `oracles._order_bound` of h1, not at
-  its n active vertices: the largest m <= n with C(m, 2) <= e, its edge
-  count, and 2m <= n + omega(h1[V_m]), V_m the vertices of degree
-  >= m - 1 (a singleton part needs an edge to each other part,
-  singletons are pairwise adjacent, and every other part takes two
-  vertices).  No compatible partition is larger, so every count above it
-  would cost a failing exhaustive search;
-- repair: reserved auxiliary vertices restore the connectivity of an
-  exact plan's scattered parts, projector vertices giving every part
-  member a neighbour and connector paths chaining the projectors
-  together.  Both read each pair's colour from the auxiliary graph, and
-  the repair lists the auxiliary edges it keeps: h1's edges inside a
-  part, then its own projector and connector edges.  A reserve that
-  runs dry retreats to the next smaller m; a connector search that finds
-  the pool to be a complete RB-bipartite graph keeps it as a witness,
-  used when it has at least two vertices and no fewer than the planned
-  count;
-- report: the parts grown by their repair vertices (or the witness
-  vertices as singletons) are lifted to host edges by the lift rule of
-  `models`, which reads the part trees in host labels.
+- k <= SCAN_CAP: the exact scan.  Each h lies inside the kept subgraph
+  `oracles._rb_kept` of some bipartition, so the best m is the largest
+  Hadwiger number over those 2^(k-1) subgraphs.
+  `oracles._max_hadwiger_scan` finds it, as it does for G(h) in
+  `constructions.gh_max_bipartite_hadwiger`, and one `find_kt_model` call
+  builds the model on the first subgraph that attains it;
+- k <= EXACT_PARTITION_CAP: h is the RB-half h1 = `rb.rb_extract_half`
+  of all k vertices, and `find_kt_model` runs from the order bound
+  `oracles._order_bound` of h1 down: the largest m <= k with
+  C(m, 2) <= e, its edge count, and 2m <= k + omega(h1[V_m]), V_m the
+  vertices of degree >= m - 1 (a singleton part needs an edge to each
+  other part, singletons are pairwise adjacent, and every other part
+  takes two vertices), so no larger model exists;
+- above that, h = h1 and the parts are those of
+  `greedy_compatible_partition`, each grown connected and joined to
+  every earlier part.
 
-Everything stays RB-bipartite, so the lifted host subgraph is bipartite
-and the result is always a valid model, just possibly smaller than the
-connectivity-free optimum.
+The report lifts the tree of every planned part, h's edges inside each
+part and the least edge of h between each pair of parts, by the lift
+rule of `models`.  Nothing needs repair, so the report's reserve and
+budget read 0 and it never comes from a witness; those fields stay for
+the payload schema.  The repair toolkit, `build_projector` and
+`connect_pair`, stays public but has no caller in the pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
-from math import ceil
 from typing import Callable, Sequence
 
-from .errors import BudgetExhausted, PoolExhausted
+from .errors import PoolExhausted
 from .graphs import RED, Bipartition, Graph, edge_key, is_bipartite
-from .kernels import find_compatible, find_kt_model
-from .models import MinorModel, _auxiliary, _lift_edges
-from .oracles import _order_bound
+from .kernels import find_kt_model
+from .models import AuxiliaryGraph, MinorModel, _auxiliary, _lift_edges
+from .oracles import _max_hadwiger_scan, _order_bound, _rb_kept
 from .rb import RBBipartition, rb_add_vertex, rb_extract_half, rb_patch_path
 
+SCAN_CAP = 9
 EXACT_PARTITION_CAP = 12
 
 
@@ -275,84 +270,36 @@ class PipelineReport:
 _Plan = tuple[tuple[int, ...], ...]
 
 
-def _exact_plan(n: int, masks: Sequence[int], m: int) -> _Plan | None:
-    """m pairwise-joined disjoint subsets of the mask graph on n vertices,
-    or None.  A K_m model is such a partition, and `find_kt_model` finds
-    one far faster than `find_compatible` searches all partitions (K_{6,6}
-    with m = 7: milliseconds against seconds), so it is asked first."""
-    found = find_kt_model(n, masks, m)
-    if found is None:
-        found = find_compatible(n, masks, m)
-    return None if found is None else tuple(_mask_bits(p) for p in found)
+def _plan(aux: AuxiliaryGraph) -> tuple[Sequence[int], _Plan]:
+    """An RB-bipartite subgraph h of the auxiliary graph, as adjacency
+    masks, and the parts of a K_m model of h, by the tier of the module
+    docstring."""
+    k = aux.order
+    if k <= SCAN_CAP:
+        red = aux.colored.red_masks
+        kept = _rb_kept(red)
+        value, split = _max_hadwiger_scan(red, kept, k)
+        h = kept(sum(side << v for v, side in split.side.items()))
+        return h, tuple(map(_mask_bits, find_kt_model(k, h, value)))
+    h1 = rb_extract_half(aux.colored, range(k))[0].graph
+    if k > EXACT_PARTITION_CAP:
+        return h1.adjacency_masks, greedy_compatible_partition(h1).parts
+    h = list(h1.adjacency_masks)
+    m = _order_bound(h)
+    while (found := find_kt_model(k, h, m)) is None:
+        m -= 1
+    return h, tuple(map(_mask_bits, found))
 
 
-def _planner(
-    h1: Graph, active_count: int
-) -> tuple[int, Callable[[int], _Plan | None]]:
-    """Largest part count any plan can have, and the plan source for part
-    counts m: `_exact_plan` up to the cap, above it the first m parts of
-    one greedy partition, whose parts are all connected in h1."""
-    if active_count <= EXACT_PARTITION_CAP:
-        masks = list(h1.adjacency_masks[:active_count])
-        return _order_bound(masks), partial(_exact_plan, active_count, masks)
-    full = greedy_compatible_partition(h1)
-    return full.order, lambda m: full.parts[:m]
-
-
-def _execute_plan(
-    plan: _Plan,
-    h1: Graph,
-    start: RBBipartition,
-    reserve: Sequence[int],
-    color: Callable[[int, int], str],
-) -> tuple[_Plan, list[tuple[int, int]], tuple[tuple[str, int], ...]] | RBCliqueWitness:
-    """Repair a plan from the reserve: a projector for every part that is
-    not connected in h1, then connector paths chaining each projector.
-
-    Returns (groups, aux_edges, budget): each part grown by its projector
-    and connector vertices, the auxiliary edges to lift (h1's edges inside
-    a part, the projector edges, the connector paths and one h1 edge per
-    part pair), and the spend.  A connector search that finds no path
-    returns its pool witness; PoolExhausted propagates from the projectors.
-    """
-    part_of = {v: k for k, members in enumerate(plan) for v in members}
-    aux_edges = [
-        (u, v) for u, v in h1.edges if u in part_of and part_of[u] == part_of.get(v)
-    ]
-    part_state = RBBipartition(dict(start.side))
-    pool = list(reserve)
-    chains: list[tuple[int, ...]] = []
-    for members in plan:
-        chain: tuple[int, ...] = ()
-        if len(members) > 1 and not h1.is_connected_subset(members):
-            chain, kept, part_state = build_projector(part_state, members, pool, color)
-            aux_edges.extend(kept)
-            del pool[: len(chain)]
-        chains.append(chain)
-    groups = []
-    for members, xs in zip(plan, chains):
-        joints: list[int] = []
-        for a, b in zip(xs, xs[1:]):
-            parity = "even" if part_state.side[a] == part_state.side[b] else "odd"
-            res = connect_pair(part_state, a, b, parity, tuple(pool), color)
-            if isinstance(res, RBCliqueWitness):
-                return res
-            for w in res.internals:
-                pool.remove(w)
-            joints.extend(res.internals)
-            aux_edges.extend(zip(res.path, res.path[1:]))
-            part_state = res.partition
-        groups.append(members + xs + tuple(joints))
-    for p, q in combinations(plan, 2):
-        aux_edges.append(
-            min(edge_key(u, v) for u in p for v in q if h1.has_edge(u, v))
-        )
-    projector = sum(len(c) for c in chains)
-    budget = (
-        ("projector", projector),
-        ("connector", len(reserve) - len(pool) - projector),
+def _plan_edges(h: Sequence[int], plan: _Plan) -> list[tuple[int, int]]:
+    """The auxiliary edges to lift: h's edges inside each part, then the
+    least edge of h between each pair of parts."""
+    edges = [(u, v) for part in plan for u, v in combinations(part, 2) if h[u] >> v & 1]
+    edges.extend(
+        min(edge_key(u, v) for u in p for v in q if h[u] >> v & 1)
+        for p, q in combinations(plan, 2)
     )
-    return tuple(groups), aux_edges, budget
+    return edges
 
 
 def bipartite_minor_pipeline(
@@ -360,88 +307,34 @@ def bipartite_minor_pipeline(
 ) -> PipelineReport:
     """Convert a clique minor of g into a bipartite one.
 
-    Reads the model's part trees in host labels, reserves the last
-    ceil(epsilon * n) auxiliary vertices (at least 2), extracts an
-    RB-bipartite half h1 of the active auxiliary clique, and plans
-    pairwise-joined parts of h1.  Above EXACT_PARTITION_CAP active
-    vertices the plan is one greedy partition into connected parts, kept
-    whole with no reserve spend.  Up to the cap the exact search tries
-    part counts downward from the order bound of h1, not from its n
-    active vertices, since no larger count has a plan, and repairs
-    scattered parts with projectors and connectors.  A step that
-    exhausts the reserve retreats to the next smaller count; a complete
-    RB-bipartite pool witness is kept when it beats the planned count.
-    The report is always a valid bipartite minor model in g's own
-    labels.
+    Plans one K_m model on one RB-bipartite subgraph of the whole
+    auxiliary graph (see the module docstring) and lifts it.  The report
+    is always a valid bipartite minor model in g's own labels.  epsilon
+    is range-checked and otherwise unused: it sized a repair reserve that
+    the plan no longer needs, so the report's reserve_size is 0.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if model.host != g:
         raise ValueError("model was built over a different host")
     aux = _auxiliary(model)
-    n = model.order
-    reserve_size = max(ceil(epsilon * n), 2)
-    if reserve_size >= n:
-        raise BudgetExhausted(
-            f"reserving {reserve_size} of {n} auxiliary vertices leaves no active part"
-        )
-    active_count = n - reserve_size
-    active = list(range(active_count))
-    reserve = list(range(active_count, n))
-    # an edge with an end outside `active` is never kept
-    h1, start = rb_extract_half(aux.colored, active)
-
-    top, plan_for = _planner(h1.graph, active_count)
-    best_witness: RBCliqueWitness | None = None
-    outcome = None
-    for m in range(top, 0, -1):
-        if best_witness is not None and best_witness.order >= max(m, 2):
-            break
-        plan = plan_for(m)
-        if plan is None:
-            continue
-        try:
-            result = _execute_plan(
-                plan, h1.graph, start, reserve, aux.colored.color_of
-            )
-        except PoolExhausted:
-            continue
-        if not isinstance(result, RBCliqueWitness):
-            outcome = result
-            break
-        if best_witness is None or result.order > best_witness.order:
-            best_witness = result
-
-    m_planned = len(outcome[0]) if outcome is not None else 0
-    from_witness = (
-        best_witness is not None and best_witness.order >= max(m_planned, 2)
-    )
-    if from_witness:
-        verts = best_witness.vertices
-        outcome = (
-            tuple((v,) for v in verts),
-            list(combinations(verts, 2)),
-            (("projector", 0), ("connector", 0)),
-        )
-    elif outcome is None:
-        raise BudgetExhausted("no part count survived the reserve budget")
-    groups, aux_edges, budget = outcome
-    used = [i for grp in groups for i in grp]
-    lift = sorted(set(_lift_edges(model, aux, used, aux_edges)))
+    h, plan = _plan(aux)
+    used = [i for part in plan for i in part]
+    lift = sorted(_lift_edges(model, aux, used, _plan_edges(h, plan)))
     witness = is_bipartite(Graph.from_edges(g.vertex_count, lift))
     if not isinstance(witness, Bipartition):  # pragma: no cover
         raise AssertionError("lift lost bipartiteness")
     return PipelineReport(
-        m_achieved=len(groups),
+        m_achieved=len(plan),
         parts=tuple(
-            tuple(sorted(v for i in grp for v in model.parts[i])) for grp in groups
+            tuple(sorted(v for i in part for v in model.parts[i])) for part in plan
         ),
-        roots=tuple(model.roots[min(grp)] for grp in groups),
+        roots=tuple(model.roots[part[0]] for part in plan),
         lift_edges=tuple(lift),
         partition_witness=witness,
-        reserve_size=reserve_size,
-        budget_used=budget,
-        from_witness=from_witness,
+        reserve_size=0,
+        budget_used=(("projector", 0), ("connector", 0)),
+        from_witness=False,
     )
 
 
@@ -481,6 +374,7 @@ def validate_pipeline_report(g: Graph, report: PipelineReport) -> dict[str, bool
 
 
 __all__ = [
+    "SCAN_CAP",
     "EXACT_PARTITION_CAP",
     "CompatiblePartition",
     "greedy_compatible_partition",

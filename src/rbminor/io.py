@@ -252,9 +252,18 @@ def _int_ids(g: Graph) -> Graph:
     return g
 
 
+def _vertex_count(obj: Any) -> int:
+    """obj's vertex count, which must be exactly an int: int() would take
+    2.9, "3" or true."""
+    n = obj["vertex_count"]
+    if type(n) is not int:
+        raise ValueError(f"vertex count {n!r} is not an integer")
+    return n
+
+
 def graph_from_json(obj: Any) -> Graph:
     try:
-        n, edges = int(obj["vertex_count"]), obj["edges"]
+        n, edges = _vertex_count(obj), obj["edges"]
         _check_size(n, len(edges))
         return _int_ids(Graph.from_edges(n, edges))
     except (KeyError, TypeError, ValueError) as exc:
@@ -270,7 +279,7 @@ def colored_json(cg: ColoredGraph) -> dict[str, Any]:
 
 def colored_from_json(obj: Any) -> ColoredGraph:
     try:
-        n, edges = int(obj["vertex_count"]), obj["edges"]
+        n, edges = _vertex_count(obj), obj["edges"]
         _check_size(n, len(edges))
         cg = ColoredGraph.from_edge_colors(n, edges)
         _int_ids(cg.graph)

@@ -51,7 +51,8 @@ Three exact reductions shorten the walk without changing that answer:
     most floor((n + omega) / 2).  On the 3-regular Petersen graph V_6 is
     empty, so the bound is 5, not 6.
 - Ceiling.  A scan knows up front a ceiling on every value it can find:
-  n for the G(h) scan, whose graphs have n vertices, and
+  n for the kept-subgraph scans (`_rb_kept`) of G(h) and of the
+  pipeline's auxiliary graph, whose graphs have n vertices, and
   min(h(g), n // 2 + 1) for `max_bipartite_hadwiger`, whose crossing
   graphs are bipartite subgraphs of g (omega <= 2 in the order bound).
   That ceiling is one search of g's core from min(order bound,
@@ -321,6 +322,28 @@ def _crossing_masks(adj: Sequence[int], ones: int) -> list[int]:
     side-1 vertex mask ones."""
     zeros = ~ones
     return [mask & zeros if ones >> v & 1 else mask & ones for v, mask in enumerate(adj)]
+
+
+def _rb_kept(red: Sequence[int]) -> Callable[[int], list[int]]:
+    """The kept-mask rule of the complete two-coloured graph whose Red
+    pairs have adjacency masks red: kept(ones) is the adjacency masks of
+    the RB-bipartite subgraph of the bipartition with side-1 vertex mask
+    ones, the Red pairs that cross it and the Blue pairs inside a side.  A
+    twin permutation of the Red graph or a side swap maps the subgraphs of
+    two bipartitions to each other, as `_max_hadwiger_scan` requires."""
+    n = len(red)
+    full = (1 << n) - 1
+    blue = [full & ~mask & ~(1 << v) for v, mask in enumerate(red)]
+
+    def kept(ones: int) -> list[int]:
+        zeros = full ^ ones
+        return [
+            red[v] & zeros | blue[v] & ones if ones >> v & 1
+            else red[v] & ones | blue[v] & zeros
+            for v in range(n)
+        ]
+
+    return kept
 
 
 def _max_hadwiger_scan(

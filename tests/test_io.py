@@ -142,6 +142,16 @@ def test_json_errors_are_worded_by_the_in_order_loop():
         with pytest.raises(ParseError) as exc:
             parse({"vertex_count": 3, "edges": edges})
         assert str(exc.value) == message
+    for count, shown in ((2.9, "2.9"), ("3", "'3'"), (True, "True"), (None, "None")):
+        for parse, edges, kind in (
+            (io.graph_from_json, [[0, 1]], "graph"),
+            (io.colored_from_json, [[0, 1, "R"]], "coloured-graph"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse({"vertex_count": count, "edges": edges})
+            assert str(exc.value) == (
+                f"bad {kind} object: vertex count {shown} is not an integer"
+            ), count
 
 
 def test_expect_helpers():
