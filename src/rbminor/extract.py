@@ -358,8 +358,12 @@ def validate_pipeline_report(g: Graph, report: PipelineReport) -> dict[str, bool
         all(0 <= v < g.vertex_count for v in p) and lift.is_connected_subset(p)
         for p in report.parts
     )
+    near = [  # lift neighbours of each part
+        set().union(*(lift.adjacency[v] for v in p if 0 <= v < g.vertex_count))
+        for p in report.parts
+    ]
     checks["pairs_joined"] = all(
-        any(lift.has_edge(u, v) for u in report.parts[i] for v in report.parts[j])
+        not near[i].isdisjoint(report.parts[j])
         for i in range(report.m_achieved)
         for j in range(i + 1, report.m_achieved)
     )
