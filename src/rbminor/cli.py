@@ -34,6 +34,12 @@ from .graphs import Bipartition, Graph, is_bipartite
 # experiment --trials cap: the payload holds one row per trial (about 1 MB
 # at the cap), and a trial at n = 10 takes about 0.7 s on the pure backend
 MAX_TRIALS = 10_000
+# aux cap on the vertices its payload lists, one per vertex of each of the
+# C(k, 2) canonical paths, which grow with the tree depths: 60 paths of
+# 2000 vertices with joined far ends list 7.1 * 10^6 (a 46 MB document,
+# about 2 s and 200 MB on the pure backend), while a model file under the
+# input cap can ask for about 2.7 * 10^8
+MAX_AUX_PATH_VERTICES = 10_000_000
 
 _USAGE_ERRORS = (ParseError, NotAModel, NotInLift, HostTooSmall, FormulaUndefined, ValueError, KeyError, OSError)
 
@@ -119,13 +125,31 @@ def _cmd_extract_half(args) -> tuple[str, dict]:
     }
 
 
+def _path_vertex_count(aux: models.AuxiliaryGraph) -> int:
+    """Vertices listed by all canonical paths: depth(x) + depth(y) + 2 for
+    the cross edge x-y of each pair, the depths read off aux.parent."""
+    parent = aux.parent
+    depth = [0 if p == v else -1 for v, p in enumerate(parent)]
+    for v in range(len(parent)):
+        walk = []
+        while depth[v] < 0:
+            walk.append(v)
+            v = parent[v]
+        for u in reversed(walk):
+            depth[u] = depth[parent[u]] + 1
+    return sum(depth[x] + depth[y] + 2 for x, y in aux.cross.values())
+
+
 def _cmd_aux(args) -> tuple[str, dict]:
-    model = io.parse_model(_read(args.file))
-    host_min, model_min = models.minimize_model(model.host, model)
-    aux = models.build_auxiliary(model_min)
+    model, aux = models._minimized(io.parse_model(_read(args.file)))
+    listed = _path_vertex_count(aux)
+    if listed > MAX_AUX_PATH_VERTICES:
+        raise InstanceTooLarge(
+            f"aux paths would list {listed} vertices (cap {MAX_AUX_PATH_VERTICES})"
+        )
     print(f"aux: {aux.order} parts", file=sys.stderr)
     return "ok", {
-        "minimized": _model_payload(host_min, model_min),
+        "minimized": _model_payload(model.host, model),
         "auxiliary": _aux_payload(aux),
     }
 
@@ -146,16 +170,14 @@ def _parse_edge_subset(text: str, order: int) -> list[tuple[int, int]]:
 
 
 def _cmd_lift(args) -> tuple[str, dict]:
-    model = io.parse_model(_read(args.file))
-    host_min, model_min = models.minimize_model(model.host, model)
-    aux = models.build_auxiliary(model_min)
+    model, aux = models._minimized(io.parse_model(_read(args.file)))
     if not isinstance(args.edges, str):  # argparse reads "lift FILE -- --" as edges=[]
         raise ParseError("bad edge selector '--'")
     sub = _parse_edge_subset(args.edges, aux.order)
-    lifted = models.lift_subgraph(model_min, aux, sub)
+    lifted = models.lift_subgraph(model, aux, sub)
     verdict = is_bipartite(lifted)
     payload = {
-        "minimized_host": io.graph_json(host_min),
+        "minimized_host": io.graph_json(model.host),
         "graph": io.graph_json(lifted),
         "aux_edges": [list(e) for e in sub],
     }

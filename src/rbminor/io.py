@@ -1,4 +1,7 @@
-"""Text and JSON serialisation.
+"""Text parsing and formatting, and the CLI's JSON documents.
+
+Graphs and models are read only from text.  JSON is written for every
+payload; of JSON input, only the fields of a `verify` document are read.
 
 Graph files: first significant line "n m", then m edge lines "u v" or
 "u v R" / "u v B" (all edges coloured or none), 0-based vertex ids,
@@ -231,7 +234,7 @@ def format_model(model: MinorModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-# JSON payload helpers (used by the CLI; stable key order throughout)
+# JSON payload writers (used by the CLI; stable key order throughout)
 
 
 def graph_json(g: Graph) -> dict[str, Any]:
@@ -241,35 +244,6 @@ def graph_json(g: Graph) -> dict[str, Any]:
     }
 
 
-def _int_ids(g: Graph) -> Graph:
-    """g, after checking that each vertex id in its edges is exactly an
-    int: the build takes a bool or a whole float, which compare and hash
-    like ints."""
-    for e in g.edges:
-        for v in e:
-            if type(v) is not int:
-                raise ValueError(f"vertex id {v!r} is not an integer")
-    return g
-
-
-def _vertex_count(obj: Any) -> int:
-    """obj's vertex count, which must be exactly an int: int() would take
-    2.9, "3" or true."""
-    n = obj["vertex_count"]
-    if type(n) is not int:
-        raise ValueError(f"vertex count {n!r} is not an integer")
-    return n
-
-
-def graph_from_json(obj: Any) -> Graph:
-    try:
-        n, edges = _vertex_count(obj), obj["edges"]
-        _check_size(n, len(edges))
-        return _int_ids(Graph.from_edges(n, edges))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad graph object: {exc}") from None
-
-
 def colored_json(cg: ColoredGraph) -> dict[str, Any]:
     return {
         "vertex_count": cg.graph.vertex_count,
@@ -277,19 +251,24 @@ def colored_json(cg: ColoredGraph) -> dict[str, Any]:
     }
 
 
-def colored_from_json(obj: Any) -> ColoredGraph:
-    try:
-        n, edges = _vertex_count(obj), obj["edges"]
-        _check_size(n, len(edges))
-        cg = ColoredGraph.from_edge_colors(n, edges)
-        _int_ids(cg.graph)
-        return cg
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad coloured-graph object: {exc}") from None
-
-
 def side_json(side: dict[int, int]) -> dict[str, str]:
     return {str(v): ("X", "Y")[s] for v, s in sorted(side.items())}
+
+
+def bipartition_json(p: Bipartition) -> dict[str, Any]:
+    return {"kind": "partition", "side": side_json(p.side)}
+
+
+def odd_cycle_json(c: OddCycle) -> dict[str, Any]:
+    return {"kind": "odd_cycle", "vertices": list(c.vertices)}
+
+
+def dumps(payload: Any) -> str:
+    """Canonical JSON: sorted keys, fixed separators."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# verify document readers (graphs are read only from text)
 
 
 def side_from_json(obj: Any) -> dict[int, int]:
@@ -314,16 +293,3 @@ def has_shape(value: Any, shape: Any) -> bool:
             map(has_shape, value, shape)
         )
     return type(value) is shape
-
-
-def bipartition_json(p: Bipartition) -> dict[str, Any]:
-    return {"kind": "partition", "side": side_json(p.side)}
-
-
-def odd_cycle_json(c: OddCycle) -> dict[str, Any]:
-    return {"kind": "odd_cycle", "vertices": list(c.vertices)}
-
-
-def dumps(payload: Any) -> str:
-    """Canonical JSON: sorted keys, fixed separators."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -9,10 +9,11 @@ unique ("canonical"): it climbs from the pair's cross edge x-y to root i
 in part i's tree and to root j in part j's.  The auxiliary graph records,
 for every pair, the parity of that path: Red for odd length, Blue for even,
 read off the tree depths of x and y.  The pipeline reads the part trees of
-its input model this way, in host labels; `minimize_model` relabels them
-into a minimised copy.  Paths are built only when read.  Odd cycles in any
-partial lift correspond to red-odd circuits in the auxiliary graph and vice
-versa; both directions are implemented below.
+its input model this way, in host labels; `_minimized` relabels the same
+read into a minimised copy and its auxiliary graph, for `minimize_model`
+and the `aux` and `lift` commands.  Paths are built only when read.  Odd
+cycles in any partial lift correspond to red-odd circuits in the auxiliary
+graph and vice versa; both directions are implemented below.
 """
 
 from __future__ import annotations
@@ -138,26 +139,12 @@ def _part_trees(
 
 
 def minimize_model(host: Graph, model: MinorModel) -> tuple[Graph, MinorModel]:
-    """Prune to part spanning trees and one cross edge per pair.
-
-    Vertices outside every part are dropped and the survivors relabelled
-    densely (0..k-1) in increasing old-label order, which keeps the BFS
-    trees and lex-smallest cross edges of `_part_trees`; roots carry over.
-    """
+    """Prune to part spanning trees and one cross edge per pair (see
+    `_minimized`)."""
     if model.host != host:
         raise ValueError("model was built over a different host")
-    parent, _, cross = _part_trees(model)
-    survivors = sorted(v for part in model.parts for v in part)
-    new = {old: i for i, old in enumerate(survivors)}
-    edges = [(new[parent[v]], new[v]) for v in survivors if parent[v] != v]
-    edges.extend((new[x], new[y]) for x, y in cross.values())
-    new_host = Graph.from_edges(len(survivors), edges)
-    new_model = MinorModel.create(
-        new_host,
-        [tuple(new[v] for v in part) for part in model.parts],
-        [new[r] for r in model.roots],
-    )
-    return new_host, new_model
+    small, _ = _minimized(model)
+    return small.host, small
 
 
 @dataclass(frozen=True)
@@ -206,6 +193,31 @@ def _auxiliary(model: MinorModel) -> AuxiliaryGraph:
     )
     colored = ColoredGraph(Graph(model.order, frozenset(cross)), red)
     return AuxiliaryGraph(colored, tuple(parent), cross)
+
+
+def _minimized(model: MinorModel) -> tuple[MinorModel, AuxiliaryGraph]:
+    """The minimised copy of any valid model and its auxiliary graph, from
+    one read of the part trees.
+
+    Vertices outside every part are dropped and the survivors relabelled
+    densely (0..k-1) in increasing old-label order; the copy's host is the
+    relabelled tree and cross edges, and roots carry over.  The relabel is
+    monotone, so it keeps the BFS trees and lex-smallest cross edges of
+    `_part_trees`, hence the depths and the colouring: the auxiliary graph
+    of the copy is the input's, with parent and cross relabelled."""
+    aux = _auxiliary(model)
+    survivors = sorted(v for part in model.parts for v in part)
+    new = {old: i for i, old in enumerate(survivors)}
+    parent = tuple(new[aux.parent[v]] for v in survivors)
+    cross = {pair: (new[x], new[y]) for pair, (x, y) in aux.cross.items()}
+    edges = [(p, v) for v, p in enumerate(parent) if p != v]
+    edges.extend(cross.values())
+    small = MinorModel.create(
+        Graph.from_edges(len(survivors), edges),
+        [tuple(new[v] for v in part) for part in model.parts],
+        [new[r] for r in model.roots],
+    )
+    return small, AuxiliaryGraph(aux.colored, parent, cross)
 
 
 def build_auxiliary(model: MinorModel) -> AuxiliaryGraph:

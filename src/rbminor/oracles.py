@@ -82,6 +82,7 @@ from .rb import RBBipartition
 HADWIGER_CORE_CAP = 10
 TCL_CAP = 9
 BIP_HADWIGER_CAP = 10
+RB_PARTITION_CAP = 16
 
 
 def _check_core(core_n: int, core_cap: int) -> None:
@@ -247,21 +248,21 @@ def _core_hadwiger(core: list[int], floor: int, top: int) -> int:
     return floor
 
 
-def hadwiger_oracle(g: Graph, core_cap: int = HADWIGER_CORE_CAP) -> int:
+def hadwiger_oracle(g: Graph) -> int:
     """Largest t such that g has a K_t minor, by exhaustive model search.
 
-    The cap applies to the series-reduced core, not the input, so long
-    subdivisions of small graphs stay cheap.
+    HADWIGER_CORE_CAP applies to the series-reduced core, not the input, so
+    long subdivisions of small graphs stay cheap.
     """
-    core, base = _series_reduce(g, core_cap)
+    core, base = _series_reduce(g, HADWIGER_CORE_CAP)
     return _core_hadwiger(core, base, len(core))
 
 
-def tcl_oracle(g: Graph, cap: int = TCL_CAP) -> int:
+def tcl_oracle(g: Graph) -> int:
     """Largest t such that g contains a subdivision of K_t."""
     n = g.vertex_count
-    if n > cap:
-        raise InstanceTooLarge(f"{n} vertices (cap {cap})")
+    if n > TCL_CAP:
+        raise InstanceTooLarge(f"{n} vertices (cap {TCL_CAP})")
     masks = g.adjacency_masks
     degs = sorted((g.degree(v) for v in range(n)), reverse=True)
     ub = 0
@@ -372,9 +373,7 @@ def _max_hadwiger_scan(
     return best, Bipartition(_sides(len(masks), best_ones))
 
 
-def max_bipartite_hadwiger(
-    g: Graph, cap: int = BIP_HADWIGER_CAP
-) -> tuple[int, Bipartition]:
+def max_bipartite_hadwiger(g: Graph) -> tuple[int, Bipartition]:
     """Maximum Hadwiger number over all bipartite subgraphs of g.
 
     Every bipartite subgraph sits inside the crossing subgraph of some
@@ -382,8 +381,8 @@ def max_bipartite_hadwiger(
     Returns the best value with the first bipartition attaining it.
     """
     n = g.vertex_count
-    if n > cap:
-        raise InstanceTooLarge(f"{n} vertices (cap {cap})")
+    if n > BIP_HADWIGER_CAP:
+        raise InstanceTooLarge(f"{n} vertices (cap {BIP_HADWIGER_CAP})")
     adj = g.adjacency_masks
     # min(h(g), top), clamped where the base value 3 of K_3 exceeds top = 2
     top = n // 2 + 1
@@ -391,9 +390,7 @@ def max_bipartite_hadwiger(
     return _max_hadwiger_scan(adj, lambda ones: _crossing_masks(adj, ones), ceiling)
 
 
-def max_rb_bipartite_oracle(
-    cg: ColoredGraph, cap: int = 16
-) -> tuple[int, RBBipartition]:
+def max_rb_bipartite_oracle(cg: ColoredGraph) -> tuple[int, RBBipartition]:
     """Most edges kept by any partition (Red kept crossing, Blue within),
     with the first partition in mask order that keeps them.
 
@@ -401,8 +398,8 @@ def max_rb_bipartite_oracle(
     reference point for the one-half extraction guarantee.
     """
     n = cg.graph.vertex_count
-    if n > cap:
-        raise InstanceTooLarge(f"{n} vertices (cap {cap})")
+    if n > RB_PARTITION_CAP:
+        raise InstanceTooLarge(f"{n} vertices (cap {RB_PARTITION_CAP})")
     if n == 0:
         return 0, RBBipartition({})  # no vertex 0 to pin
     adj = cg.graph.adjacency_masks
@@ -429,6 +426,7 @@ __all__ = [
     "HADWIGER_CORE_CAP",
     "TCL_CAP",
     "BIP_HADWIGER_CAP",
+    "RB_PARTITION_CAP",
     "hadwiger_oracle",
     "tcl_oracle",
     "max_bipartite_hadwiger",

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbminor import cli, models, oracles
 from rbminor import io as rio
-from rbminor import oracles
 from rbminor.cli import MAX_TRIALS, main
 from rbminor.constructions import MAX_BOUND_N, gh_model, random_coloring, random_graph
 from rbminor.graphs import BLUE, RED, ColoredGraph, Graph, edge_key
@@ -123,6 +123,46 @@ def test_lift_odd_cycle_certificate(work, capsys):
     assert doc["status"] == "certificate"
     assert doc["payload"]["bipartite"] is False
     assert doc["payload"]["witness"]["kind"] == "odd_cycle"
+
+
+def test_aux_and_lift_read_the_part_trees_once(work, capsys, monkeypatch):
+    # the minimised copy and its auxiliary graph come from one read
+    f = work / "model.txt"
+    f.write_text(rio.format_model(gh_model(random_graph(6, 0.5, 1))[1]))
+    read, calls = models._part_trees, []
+
+    def counted(model):
+        calls.append(model)
+        return read(model)
+
+    monkeypatch.setattr(models, "_part_trees", counted)
+    for argv in (["aux", str(f)], ["lift", str(f), "all"]):
+        calls.clear()
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1, argv
+
+
+def test_aux_refuses_paths_over_the_cap_before_building_them(work, capsys, monkeypatch):
+    # dominoes on C_6: each of the three canonical paths has 3 vertices
+    f = work / "model.txt"
+    f.write_text(rio.format_model(domino_model()))
+    code, doc = run(capsys, "aux", str(f))
+    listed = sum(len(row["path"]) for row in doc["payload"]["auxiliary"]["paths"])
+    assert code == 0 and listed == 9
+    monkeypatch.setattr(cli, "MAX_AUX_PATH_VERTICES", listed)
+    code, at_cap = run(capsys, "aux", str(f))
+    assert code == 0 and normalized(at_cap) == normalized(doc)
+    monkeypatch.setattr(cli, "MAX_AUX_PATH_VERTICES", listed - 1)
+    monkeypatch.setattr(models.AuxiliaryGraph, "path", None)  # no path is built
+    code = main(["aux", str(f)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out.endswith("\n") and "\n" not in out[:-1]
+    assert strict_json(out)["payload"] == {
+        "code": "InstanceTooLarge",
+        "message": f"aux paths would list {listed} vertices (cap {listed - 1})",
+    }
 
 
 def test_pipeline_plain_and_model_inputs(work, capsys):

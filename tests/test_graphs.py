@@ -31,6 +31,7 @@ FROM_EDGES_ERRORS = [
     (-1, [], "negative vertex count"),
     (-1, [(0, 1)], "edge (0, 1) out of range for -1 vertices"),
     (3, [(0, 1, 2)], "too many values to unpack (expected 2)"),
+    (3, [(0,)], "not enough values to unpack (expected 2, got 1)"),
 ]
 
 
@@ -54,9 +55,13 @@ def test_graph_constructor_words_the_bad_edge():
         with pytest.raises(ValueError) as exc:
             Graph(3, frozenset(edges))
         assert str(exc.value) == message
-    with pytest.raises(TypeError) as exc:
-        Graph.from_edges(3, [None])
-    assert str(exc.value) == "cannot unpack non-iterable NoneType object"
+    for pairs, message in (
+        ([None], "cannot unpack non-iterable NoneType object"),
+        ([("0", 1)], "'<=' not supported between instances of 'int' and 'str'"),
+    ):
+        with pytest.raises(TypeError) as exc:
+            Graph.from_edges(3, pairs)
+        assert str(exc.value) == message
 
 
 def test_constructors():
@@ -93,8 +98,18 @@ def test_colored_graph_basics():
     assert cg.blue == frozenset({(1, 2)})
     with pytest.raises(KeyError):
         cg.color_of(0, 2)
-    with pytest.raises(ValueError):
-        ColoredGraph.from_edge_colors(3, [(0, 1, "G")])
+    for triples, error, message in (
+        ([(0, 1, "G")], ValueError, "unknown colour 'G'"),
+        # the colour is read in input order, before the loop at vertex 0
+        ([(0, 0, "R"), (0, 1, "G")], ValueError, "unknown colour 'G'"),
+        ([("0", 1, "R")], TypeError,
+         "'<=' not supported between instances of 'int' and 'str'"),
+        ([(None, 1, "R")], TypeError, "int() argument must be a string, a"
+         " bytes-like object or a real number, not 'NoneType'"),
+    ):
+        with pytest.raises(error) as exc:
+            ColoredGraph.from_edge_colors(3, triples)
+        assert str(exc.value) == message
     with pytest.raises(ValueError):
         ColoredGraph(Graph.empty(3), frozenset({(0, 1)}))
 

@@ -118,42 +118,6 @@ def test_coloured_model_hosts_are_refused():
         assert str(exc.value) == "model hosts are uncoloured"
 
 
-def test_json_errors_are_worded_by_the_in_order_loop():
-    cases = [
-        (io.graph_from_json, [["0", 1]],
-         "bad graph object: '<=' not supported between instances of 'int' and 'str'"),
-        (io.graph_from_json, [[0]],
-         "bad graph object: not enough values to unpack (expected 2, got 1)"),
-        (io.colored_from_json, [["0", 1, "R"]], "bad coloured-graph object:"
-         " '<=' not supported between instances of 'int' and 'str'"),
-        (io.colored_from_json, [[0, 0, "R"], [0, 1, "G"]],
-         "bad coloured-graph object: unknown colour 'G'"),
-        (io.colored_from_json, [[None, 1, "R"]], "bad coloured-graph object: int()"
-         " argument must be a string, a bytes-like object or a real number, not"
-         " 'NoneType'"),
-        (io.graph_from_json, [[0, 1.5]],
-         "bad graph object: vertex id 1.5 is not an integer"),
-        (io.graph_from_json, [[True, 2]],
-         "bad graph object: vertex id True is not an integer"),
-        (io.colored_from_json, [[0, 1.5, "B"]],
-         "bad coloured-graph object: vertex id 1.5 is not an integer"),
-    ]
-    for parse, edges, message in cases:
-        with pytest.raises(ParseError) as exc:
-            parse({"vertex_count": 3, "edges": edges})
-        assert str(exc.value) == message
-    for count, shown in ((2.9, "2.9"), ("3", "'3'"), (True, "True"), (None, "None")):
-        for parse, edges, kind in (
-            (io.graph_from_json, [[0, 1]], "graph"),
-            (io.colored_from_json, [[0, 1, "R"]], "coloured-graph"),
-        ):
-            with pytest.raises(ParseError) as exc:
-                parse({"vertex_count": count, "edges": edges})
-            assert str(exc.value) == (
-                f"bad {kind} object: vertex count {shown} is not an integer"
-            ), count
-
-
 def test_expect_helpers():
     g = io.parse_graph("2 1\n0 1\n")
     cg = io.parse_graph("2 1\n0 1 B\n")
@@ -165,15 +129,6 @@ def test_expect_helpers():
         io.expect_colored(g)
 
 
-def test_json_graph_roundtrip():
-    g = Graph.from_edges(4, [(0, 3), (1, 2)])
-    assert io.graph_from_json(io.graph_json(g)) == g
-    cg = ColoredGraph.from_edge_colors(3, [(0, 2, "R"), (1, 2, "B")])
-    assert io.colored_from_json(io.colored_json(cg)) == cg
-    with pytest.raises(ParseError):
-        io.graph_from_json({"edges": []})
-
-
 def test_input_size_cap():
     big = io.MAX_INPUT_SIZE + 1
     for text in (f"{big} 1\n0 1\n", f"3 {big}\n0 1\n"):
@@ -181,10 +136,6 @@ def test_input_size_cap():
             io.parse_graph(text)
         with pytest.raises(InstanceTooLarge):
             io.parse_model(text + "part 0: 0\n")
-    with pytest.raises(InstanceTooLarge):
-        io.graph_from_json({"vertex_count": big, "edges": [[0, 1]]})
-    with pytest.raises(InstanceTooLarge):
-        io.colored_from_json({"vertex_count": big, "edges": [[0, 1, "R"]]})
     at_cap = io.parse_graph(f"{io.MAX_INPUT_SIZE} 1\n0 1\n")
     assert at_cap.vertex_count == io.MAX_INPUT_SIZE
 

@@ -87,14 +87,15 @@ def test_hadwiger_series_reduction_reaches_big_hosts():
     assert hadwiger_oracle(Graph.cycle(30)) == 3
 
 
-def test_hadwiger_cap_applies_to_the_core():
+def test_hadwiger_cap_applies_to_the_core(monkeypatch):
     # 4-regular circulant: nothing to reduce, so the core is the graph
     circ = Graph.from_edges(
         12, [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + 2) % 12) for i in range(12)]
     )
     with pytest.raises(InstanceTooLarge):
         hadwiger_oracle(circ)
-    assert hadwiger_oracle(circ, core_cap=12) >= 4
+    monkeypatch.setattr(oracles, "HADWIGER_CORE_CAP", 12)
+    assert hadwiger_oracle(circ) >= 4
 
 
 def test_tcl_frozen_values():
@@ -108,16 +109,18 @@ def test_tcl_frozen_values():
     assert tcl_oracle(Graph.empty(0)) == 0
 
 
-def test_tcl_cap():
+def test_tcl_cap(monkeypatch):
     with pytest.raises(InstanceTooLarge):
         tcl_oracle(Graph.empty(10))
-    assert tcl_oracle(Graph.empty(10), cap=10) == 1
+    monkeypatch.setattr(oracles, "TCL_CAP", 10)
+    assert tcl_oracle(Graph.empty(10)) == 1
 
 
-def test_tcl_never_exceeds_hadwiger():
+def test_tcl_never_exceeds_hadwiger(monkeypatch):
     # subdivisions are minors, so tcl <= h on anything we can afford
+    monkeypatch.setattr(oracles, "TCL_CAP", 10)
     for g in [petersen(), complete_bipartite(3, 3), Graph.cycle(7), Graph.complete(5)]:
-        assert tcl_oracle(g, cap=10) <= hadwiger_oracle(g, core_cap=10)
+        assert tcl_oracle(g) <= hadwiger_oracle(g)
 
 
 def test_max_bipartite_hadwiger_k4():
