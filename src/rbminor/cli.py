@@ -125,28 +125,17 @@ def _cmd_extract_half(args) -> tuple[str, dict]:
     }
 
 
-def _path_vertex_count(aux: models.AuxiliaryGraph) -> int:
-    """Vertices listed by all canonical paths: depth(x) + depth(y) + 2 for
-    the cross edge x-y of each pair, the depths read off aux.parent."""
-    parent = aux.parent
-    depth = [0 if p == v else -1 for v, p in enumerate(parent)]
-    for v in range(len(parent)):
-        walk = []
-        while depth[v] < 0:
-            walk.append(v)
-            v = parent[v]
-        for u in reversed(walk):
-            depth[u] = depth[parent[u]] + 1
-    return sum(depth[x] + depth[y] + 2 for x, y in aux.cross.values())
-
-
 def _cmd_aux(args) -> tuple[str, dict]:
-    model, aux = models._minimized(io.parse_model(_read(args.file)))
-    listed = _path_vertex_count(aux)
+    model = io.parse_model(_read(args.file))
+    # the path of pair (i, j) with cross edge x-y lists depth(x) + depth(y)
+    # + 2 vertices; sized from the part trees, before any copy is made
+    parent, depth, cross = models._part_trees(model)
+    listed = sum(depth[x] + depth[y] + 2 for x, y in cross.values())
     if listed > MAX_AUX_PATH_VERTICES:
         raise InstanceTooLarge(
             f"aux paths would list {listed} vertices (cap {MAX_AUX_PATH_VERTICES})"
         )
+    model, aux = models._relabelled(model, parent, depth, cross)
     print(f"aux: {aux.order} parts", file=sys.stderr)
     return "ok", {
         "minimized": _model_payload(model.host, model),

@@ -3,19 +3,55 @@
 Vertices are 0..vertex_count-1.  Edges are normalised pairs (u, v) with
 u < v.  Graphs are immutable; every operation that "changes" a graph
 returns a new one.
+
+`Graph.from_edges` fills the `sorted_edges` cache when the normalised
+pairs arrive strictly increasing, as every file that `io.format_*` writes
+lists them, so readers of such a graph (`rb_certify`, the JSON writers)
+pay no sort.
+
+`_nogc` pauses the cyclic garbage collector around the per-edge builders
+(the parsers, the RB certificate and extractor, the JSON writers): each
+makes one container per edge, and the collector would otherwise walk all
+of them again every few hundred allocations.  It may wrap only functions
+that leave no reference cycle behind, since cyclic garbage made while the
+collector is paused waits for the next collection.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, wraps
+from itertools import islice
+from operator import lt
+from typing import Callable, Iterable, Iterator, ParamSpec, Sequence, TypeVar
 
 RED = "R"
 BLUE = "B"
 
 Edge = tuple[int, int]
+
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
+
+
+def _nogc(func: Callable[_P, _R]) -> Callable[_P, _R]:
+    """Run func with the cyclic collector paused, then restore the state
+    found; a no-op when the collector is already off (in the pattern of
+    Mercurial's util.nogc).  Only for functions that make no cycles."""
+
+    @wraps(func)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -39,7 +75,7 @@ class Graph:
         n = self.vertex_count
         if n < 0:
             raise ValueError("negative vertex count")
-        if not all(0 <= u < v < n for u, v in self.edges):
+        if [1 for u, v in self.edges if not 0 <= u < v < n]:  # faster than all(genexpr)
             for u, v in self.edges:  # words the first offending edge
                 _validate_edge(u, v, n)
                 if u > v:
@@ -47,13 +83,22 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[Sequence[int]]) -> Graph:
-        """Build a graph, normalising pairs and rejecting loops/duplicates."""
+        """Build a graph, normalising pairs and rejecting loops/duplicates.
+
+        A pair given as a normalised tuple is kept as the edge object.
+        When the normalised pairs are strictly increasing (which also
+        proves them distinct) they are the sorted edge list, and the
+        `sorted_edges` cache is filled with them."""
         if not isinstance(pairs, (list, tuple)):
             pairs = list(pairs)
         try:
-            edges = frozenset([(u, v) if u < v else (v, u) for u, v in pairs])
+            norm = [p if u < v else (v, u) for p in pairs for u, v in (p,)]
+            edges = frozenset(norm)
             if len(edges) == len(pairs):
-                return cls(vertex_count, edges)
+                g = cls(vertex_count, edges)
+                if all(map(lt, norm, islice(norm, 1, None))):
+                    g.__dict__["sorted_edges"] = tuple(norm)
+                return g
         except (TypeError, ValueError):
             pass
         # one pair at a time, so the first bad pair in input order names the error
@@ -90,11 +135,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbr: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        nbr: list = [set() for _ in range(self.vertex_count)]
         for u, v in self.edges:
             nbr[u].add(v)
             nbr[v].add(u)
-        return tuple(frozenset(s) for s in nbr)
+        for v, s in enumerate(nbr):  # each set is dropped once frozen, so the
+            nbr[v] = frozenset(s)  # sets and their copies are never all alive
+        return tuple(nbr)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:

@@ -11,24 +11,37 @@ Graph files: first significant line "n m", then m edge lines "u v" or
 Every parser refuses a vertex or edge count above MAX_INPUT_SIZE with
 InstanceTooLarge before it builds anything of that size.
 
-The edge lines are read column-wise first (_edge_columns): one split of
-all of them, the endpoint columns converted with map(int, ...), the row
+The edge lines are read column-wise first (_edge_columns), a chunk of
+lines at a time so that the transient token list stays small: one split
+of the chunk, the endpoint columns converted with map(int, ...), the row
 widths and colours checked as sets.  That pass accepts exactly what the
 per-row reader (_edge_rows) accepts; on any anomaly it hands the lines to
-the per-row reader, which words every parse error.
+the per-row reader, which words every parse error.  A text with no "#"
+skips the per-line comment cut.
+
+Every file that format_graph, format_colored or format_model writes lists
+its edges sorted, so the graph read back from it has its sort cache
+filled (see graphs) and writes its JSON with no sort.  The parsers and the
+JSON writers build one container per edge and make no reference cycle, so
+they run with the cyclic collector paused (graphs._nogc).
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import suppress
+from itertools import compress, repeat
+from operator import eq
 from typing import Any
 
 from .errors import InstanceTooLarge, ParseError
-from .graphs import BLUE, RED, Bipartition, ColoredGraph, Graph, OddCycle
+from .graphs import BLUE, RED, Bipartition, ColoredGraph, Graph, OddCycle, _nogc
 from .models import MinorModel
 
 MAX_INPUT_SIZE = 1_000_000
+# edge lines split at a time by the column reader: its token list stays
+# about a megabyte, however large the file
+_CHUNK_LINES = 4096
 
 
 def _check_size(vertex_count: int, edge_count: int) -> None:
@@ -41,6 +54,8 @@ def _check_size(vertex_count: int, edge_count: int) -> None:
 
 def _significant_lines(text: str) -> list[str]:
     """Non-blank lines with comments cut, each stripped but not yet split."""
+    if "#" not in text:
+        return list(filter(None, map(str.strip, text.splitlines())))
     return [s for s in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if s]
 
 
@@ -71,37 +86,42 @@ def _parse_header_and_edges(
         raise ParseError(f"negative edge count {m}")
     if len(lines) - 1 < m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    body = lines[1 : 1 + m]
-    parsed = _edge_columns(body) or _edge_rows(body)
+    parsed = _edge_columns(lines, m) or _edge_rows(lines[1 : 1 + m])
     return (n, *parsed, 1 + m)
 
 
 def _edge_columns(
-    body: list[str],
+    lines: list[str], m: int
 ) -> tuple[list[tuple[int, int]], set[tuple[int, int]], bool] | None:
-    """Read m edge lines column-wise: one split of all lines joined by "#"
-    (which no significant line contains), so line ends become "#" tokens.
-    None on any anomaly, which _edge_rows then words."""
-    if not body:
-        return [], set(), False
-    tokens = " # ".join(body).split()
-    stride, rest = divmod(len(tokens) + 1, len(body))
-    if rest or stride not in (3, 4) or set(tokens[stride - 1 :: stride]) - {"#"}:
-        return None  # some line is not exactly "u v" or exactly "u v c"
-    try:
-        us = list(map(int, tokens[0::stride]))
-        vs = list(map(int, tokens[1::stride]))
-    except ValueError:
-        return None
-    if stride == 3:
-        return list(zip(us, vs)), set(), False
-    colors = tokens[2::4]
-    if set(colors) - {RED, BLUE}:
-        return None
-    red = {
-        (u, v) if u < v else (v, u) for u, v, c in zip(us, vs, colors) if c == RED
-    }
-    return list(zip(us, vs)), red, True
+    """Read the m edge lines after the header column-wise, _CHUNK_LINES
+    lines at a time: one split of a chunk's lines joined by "#" (which no
+    significant line contains), so line ends become "#" tokens.  None on
+    any anomaly, which _edge_rows then words."""
+    pairs: list[tuple[int, int]] = []
+    red: set[tuple[int, int]] = set()
+    stride = 0
+    for start in range(1, 1 + m, _CHUNK_LINES):
+        chunk = lines[start : min(start + _CHUNK_LINES, 1 + m)]
+        tokens = " # ".join(chunk).split()
+        width, rest = divmod(len(tokens) + 1, len(chunk))
+        if rest or width not in (3, 4) or stride not in (0, width):
+            return None  # some line is not exactly "u v" or exactly "u v c"
+        stride = width
+        if set(tokens[stride - 1 :: stride]) - {"#"}:
+            return None
+        try:
+            read = list(zip(map(int, tokens[0::stride]), map(int, tokens[1::stride])))
+        except ValueError:
+            return None
+        pairs += read
+        if stride == 4:
+            colors = tokens[2::4]
+            if set(colors) - {RED, BLUE}:
+                return None
+            # a normalised Red pair is kept as is, so it is the graph's edge object
+            reds = compress(read, map(eq, colors, repeat(RED)))
+            red.update(p if p[0] < p[1] else (p[1], p[0]) for p in reds)
+    return pairs, red, stride == 4
 
 
 def _edge_rows(
@@ -137,6 +157,7 @@ def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
         raise ParseError(str(exc)) from None
 
 
+@_nogc
 def parse_graph(text: str) -> Graph | ColoredGraph:
     """Parse a graph file, coloured or plain depending on the edge lines."""
     lines = _significant_lines(text)
@@ -192,6 +213,7 @@ def _model_of(host: Graph, lines: list[str]) -> MinorModel:
         raise ParseError(str(exc)) from None
 
 
+@_nogc
 def parse_model(text: str) -> MinorModel:
     """Parse a host graph followed by part/root lines."""
     lines = _significant_lines(text)
@@ -201,6 +223,7 @@ def parse_model(text: str) -> MinorModel:
     return _model_of(_graph(n, edges), lines[consumed:])
 
 
+@_nogc
 def parse_model_or_graph(text: str) -> MinorModel | Graph:
     """Parse a model file, or else a plain graph file, reading valid text
     once.  Errors are worded by parse_graph and expect_plain: a bad
@@ -237,6 +260,7 @@ def format_model(model: MinorModel) -> str:
 # JSON payload writers (used by the CLI; stable key order throughout)
 
 
+@_nogc
 def graph_json(g: Graph) -> dict[str, Any]:
     return {
         "vertex_count": g.vertex_count,
@@ -244,28 +268,35 @@ def graph_json(g: Graph) -> dict[str, Any]:
     }
 
 
+@_nogc
 def colored_json(cg: ColoredGraph) -> dict[str, Any]:
+    red = cg.red
     return {
         "vertex_count": cg.graph.vertex_count,
-        "edges": [[u, v, c] for u, v, c in cg.colored_edges()],
+        "edges": [[u, v, RED if (u, v) in red else BLUE] for u, v in cg.graph.sorted_edges],
     }
 
 
+@_nogc
 def side_json(side: dict[int, int]) -> dict[str, str]:
     return {str(v): ("X", "Y")[s] for v, s in sorted(side.items())}
 
 
+@_nogc
 def bipartition_json(p: Bipartition) -> dict[str, Any]:
     return {"kind": "partition", "side": side_json(p.side)}
 
 
+@_nogc
 def odd_cycle_json(c: OddCycle) -> dict[str, Any]:
     return {"kind": "odd_cycle", "vertices": list(c.vertices)}
 
 
+@_nogc
 def dumps(payload: Any) -> str:
-    """Canonical JSON: sorted keys, fixed separators."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON: sorted keys, fixed separators.  Payloads hold no
+    reference cycle, so the encoder skips its cycle check."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 # verify document readers (graphs are read only from text)

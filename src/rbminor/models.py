@@ -11,7 +11,8 @@ for every pair, the parity of that path: Red for odd length, Blue for even,
 read off the tree depths of x and y.  The pipeline reads the part trees of
 its input model this way, in host labels; `_minimized` relabels the same
 read into a minimised copy and its auxiliary graph, for `minimize_model`
-and the `aux` and `lift` commands.  Paths are built only when read.  Odd
+and the `aux` and `lift` commands (`aux` sizes its paths from the depths
+before it asks for the copy).  Paths are built only when read.  Odd
 cycles in any partial lift correspond to red-odd circuits in the auxiliary
 graph and vice versa; both directions are implemented below.
 """
@@ -183,21 +184,36 @@ class AuxiliaryGraph:
 
 
 def _auxiliary(model: MinorModel) -> AuxiliaryGraph:
-    """The auxiliary graph of any valid model, in host labels.
-
-    Pair (i, j) with cross edge x-y is Red iff depth(x) + depth(y) is even:
-    the canonical path has length depth(x) + 1 + depth(y)."""
+    """The auxiliary graph of any valid model, in host labels."""
     parent, depth, cross = _part_trees(model)
+    return AuxiliaryGraph(_pair_colors(model.order, depth, cross), tuple(parent), cross)
+
+
+def _pair_colors(
+    order: int, depth: Sequence[int], cross: Mapping[tuple[int, int], tuple[int, int]]
+) -> ColoredGraph:
+    """Pair (i, j) with cross edge x-y is Red iff depth(x) + depth(y) is
+    even: the canonical path has length depth(x) + 1 + depth(y)."""
     red = frozenset(
         pair for pair, (x, y) in cross.items() if (depth[x] + depth[y]) % 2 == 0
     )
-    colored = ColoredGraph(Graph(model.order, frozenset(cross)), red)
-    return AuxiliaryGraph(colored, tuple(parent), cross)
+    return ColoredGraph(Graph(order, frozenset(cross)), red)
 
 
 def _minimized(model: MinorModel) -> tuple[MinorModel, AuxiliaryGraph]:
     """The minimised copy of any valid model and its auxiliary graph, from
-    one read of the part trees.
+    one read of the part trees (see `_relabelled`)."""
+    return _relabelled(model, *_part_trees(model))
+
+
+def _relabelled(
+    model: MinorModel,
+    parent: Sequence[int],
+    depth: Sequence[int],
+    cross: Mapping[tuple[int, int], tuple[int, int]],
+) -> tuple[MinorModel, AuxiliaryGraph]:
+    """The minimised copy of a model and its auxiliary graph, from the
+    model's part trees as `_part_trees` returns them.
 
     Vertices outside every part are dropped and the survivors relabelled
     densely (0..k-1) in increasing old-label order; the copy's host is the
@@ -205,19 +221,19 @@ def _minimized(model: MinorModel) -> tuple[MinorModel, AuxiliaryGraph]:
     monotone, so it keeps the BFS trees and lex-smallest cross edges of
     `_part_trees`, hence the depths and the colouring: the auxiliary graph
     of the copy is the input's, with parent and cross relabelled."""
-    aux = _auxiliary(model)
     survivors = sorted(v for part in model.parts for v in part)
     new = {old: i for i, old in enumerate(survivors)}
-    parent = tuple(new[aux.parent[v]] for v in survivors)
-    cross = {pair: (new[x], new[y]) for pair, (x, y) in aux.cross.items()}
-    edges = [(p, v) for v, p in enumerate(parent) if p != v]
-    edges.extend(cross.values())
+    small_parent = tuple(new[parent[v]] for v in survivors)
+    small_cross = {pair: (new[x], new[y]) for pair, (x, y) in cross.items()}
+    edges = [(p, v) for v, p in enumerate(small_parent) if p != v]
+    edges.extend(small_cross.values())
     small = MinorModel.create(
         Graph.from_edges(len(survivors), edges),
         [tuple(new[v] for v in part) for part in model.parts],
         [new[r] for r in model.roots],
     )
-    return small, AuxiliaryGraph(aux.colored, parent, cross)
+    colored = _pair_colors(model.order, depth, cross)
+    return small, AuxiliaryGraph(colored, small_parent, small_cross)
 
 
 def build_auxiliary(model: MinorModel) -> AuxiliaryGraph:
@@ -251,7 +267,10 @@ def _lift_edges(
     edges = [
         edge_key(parent[v], v) for i in parts for v in model.parts[i] if parent[v] != v
     ]
-    edges.extend(edge_key(*aux.cross[edge_key(i, j)]) for i, j in pairs)
+    cross = aux.cross
+    for i, j in pairs:
+        x, y = e = cross[(i, j) if i < j else (j, i)]
+        edges.append(e if x < y else (y, x))  # a normalised edge is listed as is
     return edges
 
 

@@ -205,17 +205,19 @@ def _clique_number(masks: Sequence[int], within: int | None = None) -> int:
     """Order of a largest clique of the graph whose vertex v has neighbour
     mask masks[v], or of its subgraph induced on the vertex mask `within`,
     by branch and bound over candidate masks."""
-    best = 0
+    return _grow_clique(masks, 0, (1 << len(masks)) - 1 if within is None else within, 0)
 
-    def grow(size: int, cand: int) -> None:
-        nonlocal best
-        best = max(best, size)
-        while cand and size + cand.bit_count() > best:
-            v = cand.bit_length() - 1
-            cand &= ~(1 << v)
-            grow(size + 1, cand & masks[v])
 
-    grow(0, (1 << len(masks)) - 1 if within is None else within)
+def _grow_clique(masks: Sequence[int], size: int, cand: int, best: int) -> int:
+    """The larger of best and the largest clique that extends a clique of
+    `size` vertices by vertices of cand, branching on the highest vertex
+    first.  A module-level recursion, not a closure: a recursive closure
+    refers to itself and leaves a reference cycle per call."""
+    best = max(best, size)
+    while cand and size + cand.bit_count() > best:
+        v = cand.bit_length() - 1
+        cand &= ~(1 << v)
+        best = _grow_clique(masks, size + 1, cand & masks[v], best)
     return best
 
 

@@ -4,17 +4,20 @@ A coloured graph is RB-bipartite when its vertices split into sides (X, Y)
 with every Red edge crossing and every Blue edge inside a side;
 equivalently, no closed walk traverses an odd number of Red edges.
 `rb_certify` decides this in near-linear time and always hands back a
-checkable witness for its answer.
+checkable witness for its answer.  It and the extractor make one object
+per edge and no reference cycle, so they run with the cyclic collector
+paused (see graphs).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from math import ceil
 from typing import Callable, Sequence
 
-from .graphs import RED, Bipartition, ColoredGraph, Edge, Graph
+from .graphs import RED, Bipartition, ColoredGraph, Edge, Graph, _nogc
 
 
 def keeps(color: str, side_u: int, side_v: int) -> bool:
@@ -73,6 +76,7 @@ class ROddCertificate:
         return reds == self.red_count and reds % 2 == 1
 
 
+@_nogc
 def rb_certify(cg: ColoredGraph) -> RBBipartition | ROddCertificate:
     """Decide RB-bipartiteness with a witness either way.
 
@@ -155,6 +159,7 @@ def _odd_walk(cg: ColoredGraph, tree: list[Edge], u: int, v: int) -> ROddCertifi
     return ROddCertificate(walk, reds)
 
 
+@_nogc
 def rb_extract_half(
     cg: ColoredGraph, order: Sequence[int]
 ) -> tuple[ColoredGraph, RBBipartition]:
@@ -180,27 +185,30 @@ def rb_extract_half(
             raise ValueError(f"vertex {v} out of range")
     red = cg.red
     blue = cg.blue
-    red_nbrs: list[list[int]] = [[] for _ in range(n)]
-    blue_nbrs: list[list[int]] = [[] for _ in range(n)]
+    # one list per vertex: a Red neighbour v as v, a Blue one as n + v
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in red:
-        red_nbrs[u].append(v)
-        red_nbrs[v].append(u)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     for u, v in blue:
-        blue_nbrs[u].append(v)
-        blue_nbrs[v].append(u)
-    # pos[u] is -1 on side X, +1 on side Y, 0 while unplaced; placing w in
-    # X rather than Y gains sum(pos) over its Red neighbours minus that
-    # over its Blue neighbours
-    pos = [0] * n
+        nbrs[u].append(n + v)
+        nbrs[v].append(n + u)
+    # pos[u] is -1 on side X, +1 on side Y, 0 while unplaced, and
+    # pos[n + u] == -pos[u]; placing w in X rather than Y gains sum(pos)
+    # over its Red neighbours minus that over its Blue neighbours, which is
+    # the sum of pos over nbrs[w]
+    pos = [0] * (2 * n)
     at = pos.__getitem__
     side: dict[int, int] = {}
     for w in order:
-        if sum(map(at, red_nbrs[w])) >= sum(map(at, blue_nbrs[w])):
+        if sum(map(at, nbrs[w])) >= 0:
             side[w] = 0
             pos[w] = -1
+            pos[n + w] = 1
         else:
             side[w] = 1
             pos[w] = 1
+            pos[n + w] = -1
     # the side rule of `keeps`: Red is kept when it crosses, Blue when both
     # ends share a side
     kept_red = [e for e in red if pos[e[0]] * pos[e[1]] < 0]
@@ -210,25 +218,29 @@ def rb_extract_half(
     return sub, RBBipartition(side)
 
 
+_SIDE_CODE = {0: 1, 1: 2}
+
+
+def _products(code: list[int], edges: frozenset[Edge]) -> list[int]:
+    """code[u] * code[v] for each edge (u, v), in the set's order."""
+    return [code[u] * code[v] for u, v in edges]
+
+
+@_nogc
 def extraction_stats(
     cg: ColoredGraph, sub: ColoredGraph, partition: RBBipartition
 ) -> dict[str, int]:
-    """Kept-edge and signed-crossing tallies for the extractor's contract."""
+    """Kept-edge and signed-crossing tallies for the extractor's contract,
+    over the edges with both ends placed."""
+    # code 1 on side X, 2 on side Y, 0 unplaced: an edge's product of codes
+    # is 0 with an end unplaced, 2 when it crosses, 1 or 4 inside a side
     side = partition.side
-    red_set = cg.red
-    total = red = d_value = 0
-    for e in cg.graph.edges:
-        su = side.get(e[0])
-        sv = side.get(e[1])
-        if su is None or sv is None:
-            continue
-        total += 1
-        if e in red_set:
-            red += 1
-            if su != sv:
-                d_value += 1
-        elif su != sv:
-            d_value -= 1
+    code = list(map(_SIDE_CODE.get, map(side.get, range(cg.graph.vertex_count)), repeat(0)))
+    every, reds = _products(code, cg.graph.edges), _products(code, cg.red)
+    total = len(every) - every.count(0)
+    red = len(reds) - reds.count(0)
+    red_crossing = reds.count(2)
+    d_value = red_crossing - (every.count(2) - red_crossing)
     return {
         "total_edges": total,
         "red_edges": red,

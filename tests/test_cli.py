@@ -155,9 +155,17 @@ def test_aux_refuses_paths_over_the_cap_before_building_them(work, capsys, monke
     assert code == 0 and normalized(at_cap) == normalized(doc)
     monkeypatch.setattr(cli, "MAX_AUX_PATH_VERTICES", listed - 1)
     monkeypatch.setattr(models.AuxiliaryGraph, "path", None)  # no path is built
+    built, calls = Graph.from_edges.__func__, []
+
+    def counted(cls, n, pairs):
+        calls.append(n)
+        return built(cls, n, pairs)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(counted))
     code = main(["aux", str(f)])
     out = capsys.readouterr().out
     assert code == 3
+    assert len(calls) == 1  # the parse; the minimised copy is never built
     assert out.endswith("\n") and "\n" not in out[:-1]
     assert strict_json(out)["payload"] == {
         "code": "InstanceTooLarge",

@@ -1,6 +1,7 @@
 """Compatible partitions, the projector/connector toolkit, and the full
 bipartite-minor pipeline."""
 
+import gc
 import hashlib
 from collections import Counter
 from functools import partial
@@ -85,6 +86,21 @@ def test_clique_number_matches_brute_force():
         odd = [v for v in range(g.vertex_count) if v % 2]
         within = sum(1 << v for v in odd)
         assert oracles._clique_number(g.adjacency_masks, within) == brute_clique_number(g, odd)
+
+
+def test_clique_number_leaves_no_cyclic_garbage():
+    # a recursive closure would leave one reference cycle per call
+    masks = [random_graph(n, 0.5, derive_seed(67, n)).adjacency_masks for n in range(2, 13)]
+    was = gc.isenabled()
+    try:
+        gc.collect()
+        gc.disable()
+        for m in masks:
+            oracles._clique_number(m)
+            oracles._clique_number(m, sum(1 << v for v in range(0, len(m), 2)))
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def max_compatible_order(g):

@@ -1,5 +1,9 @@
+import gc
+import random
+
 import pytest
 
+from rbminor import io, rb
 from rbminor.errors import InstanceTooLarge
 from rbminor.graphs import (
     BLUE,
@@ -8,9 +12,11 @@ from rbminor.graphs import (
     ColoredGraph,
     Graph,
     OddCycle,
+    _nogc,
     edge_key,
     is_bipartite,
 )
+from rbminor.models import MinorModel
 
 from cycle_enum import enumerate_cycles
 
@@ -206,3 +212,116 @@ def test_enumerate_cycles_cap():
         enumerate_cycles(Graph.empty(17))
     with pytest.raises(InstanceTooLarge):
         enumerate_cycles(Graph.empty(10), max_vertices=9)
+
+
+def sort_cache_cases():
+    """(n, pairs, kind) for seeded edge sets given sorted, reversed,
+    unnormalised (each pair reversed, in sorted order) and shuffled."""
+    rng = random.Random(17)
+    for n in (0, 1, 2, 3, 8, 40, 300):
+        pairs = sorted({edge_key(*rng.sample(range(n), 2)) for _ in range(2 * n)}) if n > 1 else []
+        yield n, pairs, "sorted"
+        yield n, pairs[::-1], "reversed"
+        yield n, [(v, u) for u, v in pairs], "unnormalised"
+        yield n, rng.sample(pairs, len(pairs)), "shuffled"
+
+
+def test_from_edges_fills_the_sort_cache_only_with_the_sorted_edges():
+    for n, pairs, kind in sort_cache_cases():
+        g = Graph.from_edges(n, pairs)
+        direct = Graph(n, frozenset(edge_key(u, v) for u, v in pairs))
+        norm = [edge_key(u, v) for u, v in pairs]
+        increasing = all(a < b for a, b in zip(norm, norm[1:]))
+        assert ("sorted_edges" in vars(g)) == increasing, (n, kind)
+        assert increasing or kind in ("reversed", "shuffled")
+        assert g.sorted_edges == tuple(sorted(g.edges)) == direct.sorted_edges
+        assert g == direct and hash(g) == hash(direct)
+        triples = [(u, v, RED if (u + v) % 3 else BLUE) for u, v in pairs]
+        cg = ColoredGraph.from_edge_colors(n, triples)
+        assert cg.graph == g and cg.graph.sorted_edges == g.sorted_edges
+        # a written file reads back with its cache filled
+        read = io.parse_graph(io.format_graph(g))
+        assert read == g and "sorted_edges" in vars(read)
+        if pairs:  # a file with no edge lines reads as uncoloured
+            read = io.parse_graph(io.format_colored(cg))
+            assert read == cg and "sorted_edges" in vars(read.graph)
+
+
+def test_nogc_pauses_and_restores_the_collector():
+    seen = []
+
+    @_nogc
+    def probe(fail=False):
+        seen.append(gc.isenabled())
+        if fail:
+            raise ValueError("probe")
+        return len(seen)
+
+    outer = _nogc(lambda: (gc.isenabled(), probe()))
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        assert probe() == 1 and gc.isenabled()
+        with pytest.raises(ValueError):
+            probe(fail=True)
+        assert gc.isenabled()
+        assert outer() == (False, 3) and gc.isenabled()  # nested
+        gc.disable()
+        assert probe() == 4 and not gc.isenabled()
+        with pytest.raises(ValueError):
+            probe(fail=True)
+        assert not gc.isenabled()  # a disabled collector stays disabled
+        assert outer() == (False, 6) and not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 6
+    assert probe.__name__ == "probe" and probe.__wrapped__ is not None
+
+
+def _seeded_colored(n, seed):
+    rng = random.Random(seed)
+    edges = {edge_key(*rng.sample(range(n), 2)) for _ in range(3 * n)}
+    triples = [(u, v, rng.choice((RED, BLUE))) for u, v in sorted(edges)]
+    return ColoredGraph.from_edge_colors(n, triples)
+
+
+def paused_calls():
+    """(name, thunk) for every function run under _nogc, on seeded input."""
+    cg = _seeded_colored(200, 5)
+    model_text = io.format_model(MinorModel.create(Graph.cycle(6), [(0, 1), (2, 3), (4, 5)]))
+    order = list(range(0, 200, 3)) + list(range(1, 200, 3))
+    sub, part = rb.rb_extract_half(cg, order)
+    odd = rb.rb_certify(ColoredGraph.monochromatic(Graph.complete(5), RED))
+    cycle = is_bipartite(Graph.cycle(7))
+    return [
+        ("io.parse_graph", lambda: io.parse_graph(io.format_colored(cg))),
+        ("io.parse_model", lambda: io.parse_model(model_text)),
+        ("io.parse_model_or_graph", lambda: io.parse_model_or_graph(model_text)),
+        ("io.graph_json", lambda: io.graph_json(cg.graph)),
+        ("io.colored_json", lambda: io.colored_json(cg)),
+        ("io.side_json", lambda: io.side_json(part.side)),
+        ("io.bipartition_json", lambda: io.bipartition_json(part)),
+        ("io.odd_cycle_json", lambda: io.odd_cycle_json(cycle)),
+        ("io.dumps", lambda: io.dumps({"subgraph": io.colored_json(sub), "walk": odd.walk})),
+        ("rb.rb_certify", lambda: rb.rb_certify(cg)),
+        ("rb.rb_certify", lambda: rb.rb_certify(sub)),
+        ("rb.rb_extract_half", lambda: rb.rb_extract_half(cg, order)),
+        ("rb.extraction_stats", lambda: rb.extraction_stats(cg, sub, part)),
+    ]
+
+
+def test_paused_functions_leave_no_cyclic_garbage():
+    # garbage made while the collector is paused waits for the next pass,
+    # so every function under _nogc must be cycle-free
+    was = gc.isenabled()
+    try:
+        for name, thunk in paused_calls():
+            module, attr = name.split(".")
+            assert hasattr(getattr({"io": io, "rb": rb}[module], attr), "__wrapped__"), name
+            gc.collect()
+            gc.disable()
+            thunk()
+            assert gc.collect() == 0, name
+            gc.enable()
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -1,6 +1,7 @@
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -444,6 +445,31 @@ fuzz_texts = st.one_of(graph_texts(), mutated_files(), well_formed_files())
 def test_parsers_match_the_per_row_reference(text):
     assert _outcome(io.parse_graph, text) == _outcome(_ref_parse_graph, text)
     assert _outcome(io.parse_model, text) == _outcome(_ref_parse_model, text)
+
+
+@settings(max_examples=100)
+@given(fuzz_texts)
+def test_chunked_column_reader_matches_the_per_row_reference(text):
+    # two-line chunks, so chunk ends fall inside the small fuzz files
+    with mock.patch.object(io, "_CHUNK_LINES", 2):
+        assert _outcome(io.parse_graph, text) == _outcome(_ref_parse_graph, text)
+        assert _outcome(io.parse_model, text) == _outcome(_ref_parse_model, text)
+
+
+def test_column_reader_spans_many_chunks():
+    n = 3 * io._CHUNK_LINES
+    triples = [(v, v + 1, RED if v % 3 else BLUE) for v in range(n)]
+    text = f"{n + 1} {n}\n" + "".join(f"{u} {v} {c}\n" for u, v, c in triples)
+    lines = io._significant_lines(text)
+    assert io._edge_columns(lines, n) is not None  # no fallback to the row reader
+    cg = io.parse_graph(text)
+    assert cg == ColoredGraph.from_edge_colors(n + 1, triples)
+    assert "sorted_edges" in vars(cg.graph)
+    # an anomaly in the last chunk only hands the file to the row reader
+    bad = text.replace(f"{n - 1} {n} R", f"{n - 1} {n} G")
+    assert io._edge_columns(io._significant_lines(bad), n) is None
+    with pytest.raises(ParseError, match="edge colour must be R or B, got 'G'"):
+        io.parse_graph(bad)
 
 
 @settings(max_examples=120)

@@ -357,6 +357,18 @@ def test_rewritten_loops_match_the_reference():
     assert outcomes == {"RBBipartition", "ROddCertificate"}
 
 
+def test_extraction_stats_match_the_reference_on_any_partition():
+    # sides from no extractor run: some vertices unplaced, some keys outside
+    # the graph, which the tallies must ignore
+    rng = random.Random(29)
+    for cg, orders in pinned_cases():
+        n = cg.graph.vertex_count
+        keys = rng.sample(range(-3, n + 3), rng.randrange(0, n + 7))
+        part = RBBipartition({v: rng.randrange(2) for v in keys})
+        for sub in (cg, rb_extract_half(cg, orders[2])[0]):
+            assert extraction_stats(cg, sub, part) == reference_extraction_stats(cg, sub, part)
+
+
 def test_sorted_edges_matches_sorting_the_pairs():
     for n in (0, 1, 2):
         g = Graph.complete(n)
