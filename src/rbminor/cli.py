@@ -48,9 +48,9 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _model_payload(host: Graph, model: models.MinorModel) -> dict:
+def _model_payload(model: models.MinorModel) -> dict:
     return {
-        "host": io.graph_json(host),
+        "host": io.graph_json(model.host),
         "parts": [list(p) for p in model.parts],
         "roots": list(model.roots),
     }
@@ -127,18 +127,16 @@ def _cmd_extract_half(args) -> tuple[str, dict]:
 
 def _cmd_aux(args) -> tuple[str, dict]:
     model = io.parse_model(_read(args.file))
-    # the path of pair (i, j) with cross edge x-y lists depth(x) + depth(y)
-    # + 2 vertices; sized from the part trees, before any copy is made
-    parent, depth, cross = models._part_trees(model)
-    listed = sum(depth[x] + depth[y] + 2 for x, y in cross.values())
+    aux = models._auxiliary(model)
+    listed = aux.path_vertex_count()  # before any copy or path is made
     if listed > MAX_AUX_PATH_VERTICES:
         raise InstanceTooLarge(
             f"aux paths would list {listed} vertices (cap {MAX_AUX_PATH_VERTICES})"
         )
-    model, aux = models._relabelled(model, parent, depth, cross)
+    model, aux = aux.minimized(model)
     print(f"aux: {aux.order} parts", file=sys.stderr)
     return "ok", {
-        "minimized": _model_payload(model.host, model),
+        "minimized": _model_payload(model),
         "auxiliary": _aux_payload(aux),
     }
 
@@ -159,7 +157,8 @@ def _parse_edge_subset(text: str, order: int) -> list[tuple[int, int]]:
 
 
 def _cmd_lift(args) -> tuple[str, dict]:
-    model, aux = models._minimized(io.parse_model(_read(args.file)))
+    model = io.parse_model(_read(args.file))
+    model, aux = models._auxiliary(model).minimized(model)
     if not isinstance(args.edges, str):  # argparse reads "lift FILE -- --" as edges=[]
         raise ParseError("bad edge selector '--'")
     sub = _parse_edge_subset(args.edges, aux.order)
@@ -371,22 +370,27 @@ def _cmd_verify(args) -> tuple[str, dict]:
         checks = extract.validate_pipeline_report(g, report)
         print(f"verify pipeline: {'ok' if checks['all'] else 'FAILED'}", file=sys.stderr)
         return ("ok" if checks["all"] else "error"), {"checks": checks}
-    cap = doc.get("budget_cap") if isinstance(doc, dict) else None
-    if not io.has_shape(doc, _TK_DOC) or not (cap is None or type(cap) is int):
+    # budget_cap and used are optional, but ints when present
+    cap, used = (doc.get("budget_cap"), doc.get("used")) if isinstance(doc, dict) else (None, None)
+    if not io.has_shape(doc, _TK_DOC) or not all(v is None or type(v) is int for v in (cap, used)):
         raise ParseError("malformed tk document")
     cg = io.expect_colored(io.parse_graph(_read(args.graph)))
+    if doc["host_order"] != cg.graph.vertex_count:
+        raise ValueError(f"host_order {doc['host_order']} is not the graph's vertex count")
+    paths = {(row["pair"][0], row["pair"][1]): tuple(row["path"]) for row in doc["paths"]}
+    if len(paths) != len(doc["paths"]):
+        raise ValueError("a branch pair is listed twice")
     model = topological.TopologicalModel(
         branch=tuple(doc["branch"]),
-        paths={
-            (row["pair"][0], row["pair"][1]): tuple(row["path"])
-            for row in doc["paths"]
-        },
+        paths=paths,
         side=io.side_from_json(doc["side"]),
         host_order=doc["host_order"],
         escape=doc["escape"],
     )
     t = len(model.branch)
-    topological.validate_topological_model(cg, model, t, cap)
+    _, count = topological.validate_topological_model(cg, model, t, cap)
+    if used is not None and used != count:
+        raise ValueError(f"{count} vertices used, but the document says {used}")
     print("verify tk: ok", file=sys.stderr)
     return "ok", {"checks": {"all": True}, "t": t}
 

@@ -8,13 +8,14 @@ labels.  In the kept subgraph the root-to-root path between two parts is
 unique ("canonical"): it climbs from the pair's cross edge x-y to root i
 in part i's tree and to root j in part j's.  The auxiliary graph records,
 for every pair, the parity of that path: Red for odd length, Blue for even,
-read off the tree depths of x and y.  The pipeline reads the part trees of
-its input model this way, in host labels; `_minimized` relabels the same
-read into a minimised copy and its auxiliary graph, for `minimize_model`
-and the `aux` and `lift` commands (`aux` sizes its paths from the depths
-before it asks for the copy).  Paths are built only when read.  Odd
-cycles in any partial lift correspond to red-odd circuits in the auxiliary
-graph and vice versa; both directions are implemented below.
+read off the tree depths of x and y.  `_auxiliary` is the one reader of the
+part trees into an `AuxiliaryGraph`, in host labels, which the pipeline
+uses as is; `AuxiliaryGraph.minimized` relabels it into the minimised copy
+and the copy's auxiliary graph, for `minimize_model` and the `aux` and
+`lift` commands (`aux` first sizes its paths with `path_vertex_count`).
+Paths are built only when read.  Odd cycles in any partial lift
+correspond to red-odd circuits in the auxiliary graph and vice versa; both
+directions are implemented below.
 """
 
 from __future__ import annotations
@@ -141,10 +142,10 @@ def _part_trees(
 
 def minimize_model(host: Graph, model: MinorModel) -> tuple[Graph, MinorModel]:
     """Prune to part spanning trees and one cross edge per pair (see
-    `_minimized`)."""
+    `AuxiliaryGraph.minimized`)."""
     if model.host != host:
         raise ValueError("model was built over a different host")
-    small, _ = _minimized(model)
+    small, _ = _auxiliary(model).minimized(model)
     return small.host, small
 
 
@@ -153,15 +154,17 @@ class AuxiliaryGraph:
     """Complete two-coloured graph on part indices, plus the part trees.
 
     Edge (i, j) is Red exactly when the canonical path between roots i and
-    j has odd length.  parent maps each host vertex to its parent in its
-    part's tree (a root, or a vertex in no part, to itself), and cross maps
-    (i, j) with i < j to the pair's cross edge, its part-i end first;
-    path(i, j) climbs from both ends of that edge to the roots, so paths
-    are built only when read.
+    j has odd length.  parent and depth give each host vertex's parent and
+    depth in its part's tree (a root is its own parent at depth 0, a vertex
+    in no part its own parent at depth -1), and cross maps (i, j) with
+    i < j to the pair's cross edge, its part-i end first; path(i, j) climbs
+    from both ends of that edge to the roots, so paths are built only when
+    read.
     """
 
     colored: ColoredGraph
     parent: tuple[int, ...]
+    depth: tuple[int, ...]
     cross: Mapping[tuple[int, int], tuple[int, int]]
 
     def path(self, i: int, j: int) -> tuple[int, ...]:
@@ -178,62 +181,49 @@ class AuxiliaryGraph:
             walk.append(v)
         return tuple(walk)
 
+    def path_vertex_count(self) -> int:
+        """The vertices all canonical paths list, without building one: the
+        path of the pair with cross edge x-y lists depth(x) + depth(y) + 2."""
+        depth = self.depth
+        return sum(depth[x] + depth[y] + 2 for x, y in self.cross.values())
+
+    def minimized(self, model: MinorModel) -> tuple[MinorModel, AuxiliaryGraph]:
+        """The minimised copy of `model` (whose auxiliary graph this is) and
+        the copy's auxiliary graph.  Vertices outside every part are dropped
+        and the survivors relabelled densely in increasing old-label order;
+        the copy's host is the relabelled trees and cross edges, and roots
+        carry over.  The relabel is monotone, so it keeps the BFS trees and
+        lex-smallest cross edges of `_part_trees`, hence the depths and the
+        colouring: `colored` is shared, parent, depth and cross relabelled."""
+        survivors = sorted(v for part in model.parts for v in part)
+        new = {old: i for i, old in enumerate(survivors)}
+        parent = tuple(new[self.parent[v]] for v in survivors)
+        depth = tuple(self.depth[v] for v in survivors)
+        cross = {pair: (new[x], new[y]) for pair, (x, y) in self.cross.items()}
+        edges = [(p, v) for v, p in enumerate(parent) if p != v]
+        edges.extend(cross.values())
+        small = MinorModel.create(
+            Graph.from_edges(len(survivors), edges),
+            [tuple(new[v] for v in part) for part in model.parts],
+            [new[r] for r in model.roots],
+        )
+        return small, AuxiliaryGraph(self.colored, parent, depth, cross)
+
     @property
     def order(self) -> int:
         return self.colored.graph.vertex_count
 
 
 def _auxiliary(model: MinorModel) -> AuxiliaryGraph:
-    """The auxiliary graph of any valid model, in host labels."""
+    """The auxiliary graph of any valid model, in host labels.  Pair (i, j)
+    with cross edge x-y is Red iff depth(x) + depth(y) is even: the
+    canonical path has length depth(x) + 1 + depth(y)."""
     parent, depth, cross = _part_trees(model)
-    return AuxiliaryGraph(_pair_colors(model.order, depth, cross), tuple(parent), cross)
-
-
-def _pair_colors(
-    order: int, depth: Sequence[int], cross: Mapping[tuple[int, int], tuple[int, int]]
-) -> ColoredGraph:
-    """Pair (i, j) with cross edge x-y is Red iff depth(x) + depth(y) is
-    even: the canonical path has length depth(x) + 1 + depth(y)."""
     red = frozenset(
         pair for pair, (x, y) in cross.items() if (depth[x] + depth[y]) % 2 == 0
     )
-    return ColoredGraph(Graph(order, frozenset(cross)), red)
-
-
-def _minimized(model: MinorModel) -> tuple[MinorModel, AuxiliaryGraph]:
-    """The minimised copy of any valid model and its auxiliary graph, from
-    one read of the part trees (see `_relabelled`)."""
-    return _relabelled(model, *_part_trees(model))
-
-
-def _relabelled(
-    model: MinorModel,
-    parent: Sequence[int],
-    depth: Sequence[int],
-    cross: Mapping[tuple[int, int], tuple[int, int]],
-) -> tuple[MinorModel, AuxiliaryGraph]:
-    """The minimised copy of a model and its auxiliary graph, from the
-    model's part trees as `_part_trees` returns them.
-
-    Vertices outside every part are dropped and the survivors relabelled
-    densely (0..k-1) in increasing old-label order; the copy's host is the
-    relabelled tree and cross edges, and roots carry over.  The relabel is
-    monotone, so it keeps the BFS trees and lex-smallest cross edges of
-    `_part_trees`, hence the depths and the colouring: the auxiliary graph
-    of the copy is the input's, with parent and cross relabelled."""
-    survivors = sorted(v for part in model.parts for v in part)
-    new = {old: i for i, old in enumerate(survivors)}
-    small_parent = tuple(new[parent[v]] for v in survivors)
-    small_cross = {pair: (new[x], new[y]) for pair, (x, y) in cross.items()}
-    edges = [(p, v) for v, p in enumerate(small_parent) if p != v]
-    edges.extend(small_cross.values())
-    small = MinorModel.create(
-        Graph.from_edges(len(survivors), edges),
-        [tuple(new[v] for v in part) for part in model.parts],
-        [new[r] for r in model.roots],
-    )
-    colored = _pair_colors(model.order, depth, cross)
-    return small, AuxiliaryGraph(colored, small_parent, small_cross)
+    colored = ColoredGraph(Graph(model.order, frozenset(cross)), red)
+    return AuxiliaryGraph(colored, tuple(parent), tuple(depth), cross)
 
 
 def build_auxiliary(model: MinorModel) -> AuxiliaryGraph:

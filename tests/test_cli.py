@@ -672,6 +672,19 @@ def test_verify_tk_roundtrip_and_tamper(work, capsys):
     assert code == 2
     assert doc["payload"]["code"] == "ValueError"
 
+    # a document that misstates its own fields: a pair listed twice, a
+    # wrong vertex count, a host order other than the graph's
+    for field, tamper in (
+        ("paths", lambda rows: rows + rows[:1]),
+        ("used", lambda used: 999),
+        ("host_order", lambda order: order + 1),
+    ):
+        bad = json.loads(report.read_text())
+        bad[field] = tamper(bad[field])
+        broken.write_text(rio.dumps(bad))
+        code, doc = run(capsys, "verify", "tk", str(broken), "--graph", str(host))
+        assert (code, doc["payload"]["code"]) == (2, "ValueError"), field
+
     broken.write_text(
         '{"branch": "abc", "paths": 5, "side": {}, "host_order": 35,'
         ' "escape": false}\n'

@@ -426,3 +426,32 @@ def test_host_label_auxiliary_matches_the_minimised_copy():
         )
         checked += 1
     assert checked >= 200, checked
+
+
+def test_path_vertex_count_and_depths_survive_the_minimised_copy():
+    """path_vertex_count sizes every canonical path from the depths; the
+    minimised copy keeps the colouring, the sizes and the depths."""
+    from rbminor.models import _auxiliary
+
+    checked = uncovered = 0
+    models = [*_seeded_models(300), *map(random_tree_model, range(100))]
+    for model in models:
+        if _outcome(model.validate)[0] != "ok":
+            continue
+        aux = _auxiliary(model)
+        k = model.order
+        listed = sum(len(aux.path(i, j)) for i, j in combinations(range(k), 2))
+        assert aux.path_vertex_count() == listed
+        small_model, small = aux.minimized(model)
+        fresh = build_auxiliary(small_model)  # a second read, on the copy
+        assert small.colored == aux.colored == fresh.colored
+        assert small.path_vertex_count() == listed
+        old = sorted(v for part in model.parts for v in part)  # new label -> old
+        for i, j in combinations(range(k), 2):
+            assert tuple(old[v] for v in small.path(i, j)) == aux.path(i, j)
+        assert small.depth == tuple(aux.depth[v] for v in old)
+        assert small.depth == fresh.depth
+        assert all(aux.depth[v] == -1 for v in set(range(len(aux.depth))) - set(old))
+        checked += 1
+        uncovered += len(old) < model.host.vertex_count
+    assert checked >= 200 and uncovered >= 30, (checked, uncovered)
