@@ -1,8 +1,9 @@
 """Plain and two-edge-coloured simple graphs with value semantics.
 
-Vertices are 0..vertex_count-1.  Edges are normalised pairs (u, v) with
-u < v.  Graphs are immutable; every operation that "changes" a graph
-returns a new one.
+Vertices are the ints 0..vertex_count-1: `sorted_edges` and the `rb`
+loops index lists by them, so a graph on other numbers fails there with
+TypeError.  Edges are normalised pairs (u, v) with u < v.  Graphs are
+immutable; every operation that "changes" a graph returns a new one.
 
 `Graph.from_edges` fills the `sorted_edges` cache when the normalised
 pairs arrive strictly increasing, as every file that `io.format_*` writes
@@ -23,7 +24,7 @@ import gc
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from typing import Callable, Iterable, Iterator, ParamSpec, Sequence, TypeVar
 
@@ -153,10 +154,15 @@ class Graph:
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        # u*n + v orders normalised pairs as tuple comparison does, and an
-        # integer key sorts faster than pairs on large graphs
-        n = self.vertex_count
-        return tuple(sorted(self.edges, key=lambda e: e[0] * n + e[1]))
+        # one bucket per lesser end, each sorted: the pairs in tuple order,
+        # as the graph's own edge objects, with no key per edge and only
+        # short sorts
+        buckets: list[list[Edge]] = [[] for _ in range(self.vertex_count)]
+        for e in self.edges:
+            buckets[e[0]].append(e)
+        for bucket in buckets:
+            bucket.sort()
+        return tuple(chain.from_iterable(buckets))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

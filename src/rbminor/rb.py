@@ -4,14 +4,14 @@ A coloured graph is RB-bipartite when its vertices split into sides (X, Y)
 with every Red edge crossing and every Blue edge inside a side;
 equivalently, no closed walk traverses an odd number of Red edges.
 `rb_certify` decides this in near-linear time and always hands back a
-checkable witness for its answer.  It and the extractor make one object
-per edge and no reference cycle, so they run with the cyclic collector
-paused (see graphs).
+checkable witness for its answer.  It and the extractor make at most one
+new object per edge, and their lists and dicts hold only ints and the
+graph's own edge pairs, so they leave no reference cycle and run with the
+cyclic collector paused (see graphs).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from math import ceil
@@ -136,24 +136,34 @@ def rb_certify(cg: ColoredGraph) -> RBBipartition | ROddCertificate:
 
 
 def _odd_walk(cg: ColoredGraph, tree: list[Edge], u: int, v: int) -> ROddCertificate:
-    # BFS through the union-find forest from u to v, then close with (v, u).
-    # The forest is acyclic, so the walk is its one u-v path.
-    forest: dict[int, list[int]] = {}
+    # The forest is acyclic, so its u-v path is unique: search from both
+    # ends, growing the smaller frontier by one level at a time, until the
+    # two search trees share a vertex; the walk is that path closed by (v, u).
+    forest: list[list[int]] = [[] for _ in range(cg.graph.vertex_count)]
     for a, b in tree:
-        forest.setdefault(a, []).append(b)
-        forest.setdefault(b, []).append(a)
-    prev: dict[int, int] = {u: u}
-    queue = deque([u])
-    while queue and v not in prev:
-        x = queue.popleft()
-        for y in forest.get(x, ()):
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    path = [v]
+        forest[a].append(b)
+        forest[b].append(a)
+    seen = ({u: u}, {v: v})  # each search's tree: vertex -> predecessor
+    fronts = [[u], [v]]
+    meet = None
+    while meet is None:
+        s = len(fronts[1]) < len(fronts[0])
+        mine, other = seen[s], seen[not s]
+        grown = []
+        for x in fronts[s]:
+            for y in forest[x]:
+                if y not in mine:
+                    mine[y] = x
+                    grown.append(y)
+                    if y in other:
+                        meet = y
+        fronts[s] = grown
+    path = [meet]
     while path[-1] != u:
-        path.append(prev[path[-1]])
-    path.reverse()  # u ... v
+        path.append(seen[0][path[-1]])
+    path.reverse()  # u ... meet
+    while path[-1] != v:
+        path.append(seen[1][path[-1]])
     walk = tuple(path) + (u,)
     reds = sum(1 for a, b in zip(walk, walk[1:]) if cg.is_red(a, b))
     return ROddCertificate(walk, reds)
@@ -174,25 +184,36 @@ def rb_extract_half(
 
     `order` may be any duplicate-free vertex sequence; a full permutation
     is the classic statement, a subsequence applies it to the induced
-    subgraph.  The kept subgraph is built straight from the kept edge
-    sets, with no sort and no re-parse of the edges.
+    subgraph.  Each edge is listed once, at the end that `order` places
+    later or never places: the other end is still unplaced when that one
+    is placed, so it adds nothing to the gain.  The kept subgraph is
+    built straight from the kept edge sets, with no sort and no re-parse
+    of the edges.
     """
     n = cg.graph.vertex_count
     if len(set(order)) != len(order):
         raise ValueError("order contains duplicates")
-    for v in order:
+    rank = [n] * n  # position in order; n when never placed
+    for i, v in enumerate(order):
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
+        rank[v] = i
     red = cg.red
     blue = cg.blue
-    # one list per vertex: a Red neighbour v as v, a Blue one as n + v
+    # one list per vertex w, of the neighbours placed before w (an edge
+    # with both ends unplaced goes to either, and is never read): a Red
+    # neighbour v as v, a Blue one as n + v
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in red:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+        if rank[u] < rank[v]:
+            nbrs[v].append(u)
+        else:
+            nbrs[u].append(v)
     for u, v in blue:
-        nbrs[u].append(n + v)
-        nbrs[v].append(n + u)
+        if rank[u] < rank[v]:
+            nbrs[v].append(n + u)
+        else:
+            nbrs[u].append(n + v)
     # pos[u] is -1 on side X, +1 on side Y, 0 while unplaced, and
     # pos[n + u] == -pos[u]; placing w in X rather than Y gains sum(pos)
     # over its Red neighbours minus that over its Blue neighbours, which is

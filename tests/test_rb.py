@@ -310,8 +310,10 @@ def pinned_cases():
     loops must agree on: empty graphs, isolated vertices, RB-bipartite
     colourings, R-odd ones whose first contradiction is the first or the
     last cycle-closing edge, and fair coins; full, shuffled and partial
-    orders.  One graph in ten has 100 to 300 vertices, where union-find
-    trees grow deep enough for halving and full compression to part."""
+    orders, plus `range(n)` (as the pipeline passes it) and the reversed
+    full order, where every edge's later end is its lesser one.  One graph
+    in ten has 100 to 300 vertices, where union-find trees grow deep
+    enough for halving and full compression to part."""
     rng = random.Random(7)
     for i in range(600):
         n = rng.randrange(100, 300) if i % 10 == 0 else rng.randrange(0, 30)
@@ -332,7 +334,7 @@ def pinned_cases():
         full = list(range(n))
         shuffled = rng.sample(full, n)
         partial = rng.sample(full, rng.randrange(0, n + 1))
-        yield cg, (full, shuffled, partial)
+        yield cg, (full, shuffled, partial, range(n), full[::-1])
 
 
 def test_rewritten_loops_match_the_reference():
@@ -369,12 +371,49 @@ def test_extraction_stats_match_the_reference_on_any_partition():
             assert extraction_stats(cg, sub, part) == reference_extraction_stats(cg, sub, part)
 
 
+def _assert_sorted_own_edges(g):
+    got = g.sorted_edges
+    assert got == tuple(sorted(g.edges))
+    own = {e: e for e in g.edges}
+    assert all(own[e] is e for e in got)  # the graph's edge objects, not copies
+
+
 def test_sorted_edges_matches_sorting_the_pairs():
-    for n in (0, 1, 2):
-        g = Graph.complete(n)
-        assert g.sorted_edges == tuple(sorted(g.edges))
+    for n in (0, 1, 2, 60):
+        _assert_sorted_own_edges(Graph.complete(n))
+    # a star puts every edge in the bucket of vertex 0
+    _assert_sorted_own_edges(Graph(500, frozenset((0, v) for v in range(1, 500))))
     rng = random.Random(3)
-    for n in (3, 10, 100, 1000, 10_000):
+    for n in (3, 10, 100, 1000, 10_000, 100_000):
         edges = {edge_key(*rng.sample(range(n), 2)) for _ in range(2 * n)}
-        g = Graph(n, frozenset(edges))
-        assert g.sorted_edges == tuple(sorted(edges))
+        _assert_sorted_own_edges(Graph(n, frozenset(edges)))
+        # vertices above the last edge stay isolated, with empty buckets
+        _assert_sorted_own_edges(Graph(n + 7, frozenset(edges)))
+
+
+def _cycle_pairs(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "pairs, red, length",
+    [
+        # (0, n - 1) Red: the last edge in sorted order, (n - 2, n - 1),
+        # contradicts after a forest path of n - 1 edges
+        *[(_cycle_pairs(n), (0, n - 1), n) for n in (3, 4, 5, 1000, 10_000)],
+        # a path with one Red chord, which joins the forest before the
+        # path edge that closes the cycle
+        ([(i, i + 1) for i in range(999)] + [(100, 900)], (100, 900), 801),
+        # a star at 0 plus (1, 2): the search from 1 reaches 0 and then 2
+        # before the one from 2 grows, so they meet at the end 2 itself
+        ([(0, v) for v in range(1, 10)] + [(1, 2)], (1, 2), 3),
+    ],
+    ids=["C3", "C4", "C5", "C1000", "C10000", "path_chord", "meet_at_end"],
+)
+def test_odd_walk_matches_the_reference(pairs, red, length):
+    # each case has as many edges as vertices
+    cg = ColoredGraph(Graph.from_edges(len(pairs), pairs), frozenset({red}))
+    got, want = rb_certify(cg), reference_certify(cg)
+    assert isinstance(want, ROddCertificate)
+    assert (got.walk, got.red_count) == (want.walk, want.red_count)
+    assert got.length == length and got.is_valid_for(cg)
