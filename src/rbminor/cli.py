@@ -5,7 +5,7 @@ Every subcommand prints exactly one JSON document to stdout:
 The payload is deterministic for fixed inputs and seeds; elapsed_ms is
 the only field allowed to vary between runs.  Short human summaries go
 to stderr.  Exit codes: 0 success, 2 bad input, 3 instance too large,
-4 budget or pool exhausted, 5 unexpected internal failure.
+5 unexpected internal failure.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from pathlib import Path
 
 from . import constructions, extract, io, models, oracles, rb, topological
 from .errors import (
-    BudgetExhausted,
     FormulaUndefined,
     HostTooSmall,
     InstanceTooLarge,
     NotAModel,
     NotInLift,
     ParseError,
-    PoolExhausted,
 )
 from .graphs import Bipartition, Graph, is_bipartite
 
@@ -75,9 +73,6 @@ def _pipeline_payload(report: extract.PipelineReport) -> dict:
         "roots": list(report.roots),
         "lift_edges": [list(e) for e in report.lift_edges],
         "partition": io.side_json(report.partition_witness.side),
-        "reserve_size": report.reserve_size,
-        "budget": {k: v for k, v in report.budget_used},
-        "from_witness": report.from_witness,
     }
 
 
@@ -186,15 +181,11 @@ def _cmd_pipeline(args) -> tuple[str, dict]:
         # plain graph: treat every vertex as its own part (complete hosts)
         model = models.MinorModel.create(model, [(v,) for v in range(model.vertex_count)])
     host = model.host
-    report = extract.bipartite_minor_pipeline(host, model, args.epsilon)
+    report = extract.bipartite_minor_pipeline(host, model)
     checks = extract.validate_pipeline_report(host, report)
     payload = _pipeline_payload(report)
     payload["checks"] = checks
-    print(
-        f"pipeline: bipartite K_{report.m_achieved} minor"
-        f" (reserve {report.reserve_size}, budget {payload['budget']})",
-        file=sys.stderr,
-    )
+    print(f"pipeline: bipartite K_{report.m_achieved} minor", file=sys.stderr)
     return "ok", payload
 
 
@@ -336,8 +327,7 @@ def _cmd_experiment(args) -> tuple[str, dict]:
 
 
 _PIPELINE_DOC = {"m_achieved": int, "parts": [[int]], "roots": [int],
-                 "lift_edges": [(int, int)], "partition": dict,
-                 "reserve_size": int, "budget": dict, "from_witness": bool}
+                 "lift_edges": [(int, int)], "partition": dict}
 _TK_DOC = {"branch": [int], "paths": [{"pair": (int, int), "path": [int]}],
            "side": dict, "host_order": int, "escape": bool}
 
@@ -345,15 +335,10 @@ _TK_DOC = {"branch": [int], "paths": [{"pair": (int, int), "path": [int]}],
 def _cmd_verify(args) -> tuple[str, dict]:
     doc = json.loads(_read(args.json))
     if args.kind == "pipeline":
-        # a minor model has at least one part, each holding its own root;
-        # the reserve and the budget spent from it are counts, and the
-        # pipeline never spends more than its reserve
+        # a minor model has at least one part, each holding its own root
         if not io.has_shape(doc, _PIPELINE_DOC) or not (
             doc["m_achieved"] == len(doc["parts"]) == len(doc["roots"]) >= 1
             and all(r in p for r, p in zip(doc["roots"], doc["parts"]))
-            and set(doc["budget"]) <= {"projector", "connector"}
-            and all(type(v) is int and v >= 0 for v in doc["budget"].values())
-            and sum(doc["budget"].values()) <= doc["reserve_size"]
         ):
             raise ParseError("malformed pipeline document")
         g = io.expect_plain(io.parse_graph(_read(args.graph)))
@@ -363,9 +348,6 @@ def _cmd_verify(args) -> tuple[str, dict]:
             roots=tuple(doc["roots"]),
             lift_edges=tuple((e[0], e[1]) for e in doc["lift_edges"]),
             partition_witness=Bipartition(io.side_from_json(doc["partition"])),
-            reserve_size=doc["reserve_size"],
-            budget_used=tuple(sorted(doc["budget"].items())),
-            from_witness=doc["from_witness"],
         )
         checks = extract.validate_pipeline_report(g, report)
         print(f"verify pipeline: {'ok' if checks['all'] else 'FAILED'}", file=sys.stderr)
@@ -424,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="bipartite clique minor from a model")
     p.add_argument("file")
-    p.add_argument("--epsilon", type=float, default=0.25)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("tk-build", help="RB-bipartite topological clique")
@@ -483,9 +464,6 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceTooLarge as exc:
         _emit("error", {"code": "InstanceTooLarge", "message": str(exc)}, started)
         return 3
-    except (BudgetExhausted, PoolExhausted) as exc:
-        _emit("error", {"code": type(exc).__name__, "message": str(exc)}, started)
-        return 4
     except Exception as exc:  # pragma: no cover - internal invariants
         _emit("error", {"code": "Internal", "message": f"{type(exc).__name__}: {exc}"}, started)
         return 5

@@ -13,10 +13,6 @@ class NotAModel(ValueError):
     """Claimed minor model violates disjointness, connectivity or adjacency."""
 
 
-class BudgetExhausted(RuntimeError):
-    """The reserved vertex budget cannot cover the requested construction."""
-
-
 class PoolExhausted(RuntimeError):
     """A projector or connector ran out of reserve vertices mid-phase."""
 

@@ -28,10 +28,9 @@ one h, chosen by k:
 
 The report lifts the tree of every planned part, h's edges inside each
 part and the least edge of h between each pair of parts, by the lift
-rule of `models`.  Nothing needs repair, so the report's reserve and
-budget read 0 and it never comes from a witness; those fields stay for
-the payload schema.  The repair toolkit, `build_projector` and
-`connect_pair`, stays public but has no caller in the pipeline.
+rule of `models`.  Nothing needs repair: the repair toolkit,
+`build_projector` and `connect_pair`, stays public but has no caller in
+the pipeline.
 """
 
 from __future__ import annotations
@@ -256,15 +255,9 @@ class PipelineReport:
     roots: tuple[int, ...]
     lift_edges: tuple[tuple[int, int], ...]
     partition_witness: Bipartition
-    reserve_size: int
-    budget_used: tuple[tuple[str, int], ...]
-    from_witness: bool
 
     def model(self, host: Graph) -> MinorModel:
         return MinorModel.create(host, self.parts, self.roots)
-
-    def budget(self) -> dict[str, int]:
-        return dict(self.budget_used)
 
 
 _Plan = tuple[tuple[int, ...], ...]
@@ -310,8 +303,8 @@ def bipartite_minor_pipeline(
     Plans one K_m model on one RB-bipartite subgraph of the whole
     auxiliary graph (see the module docstring) and lifts it.  The report
     is always a valid bipartite minor model in g's own labels.  epsilon
-    is range-checked and otherwise unused: it sized a repair reserve that
-    the plan no longer needs, so the report's reserve_size is 0.
+    is kept only as a range-checked argument: it sized a repair reserve
+    that the plan no longer has.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -332,9 +325,6 @@ def bipartite_minor_pipeline(
         roots=tuple(model.roots[part[0]] for part in plan),
         lift_edges=tuple(lift),
         partition_witness=witness,
-        reserve_size=0,
-        budget_used=(("projector", 0), ("connector", 0)),
-        from_witness=False,
     )
 
 

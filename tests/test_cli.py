@@ -2,7 +2,7 @@
 
 Each test parses the single JSON document from stdout and checks the
 exit code against the documented mapping: 0 success, 2 bad input,
-3 instance too large, 4 budget or pool exhausted.
+3 instance too large.
 """
 
 import copy
@@ -228,18 +228,18 @@ def test_pipeline_input_errors(work, capsys, case):
 # SHA-256 of the normalised `pipeline` documents for K_n graph files and
 # G(h) model files (h = G(n, 0.5) with the given seed)
 PIPELINE_DIGESTS = {
-    ("k", 1): "53956eb6eb3e5c23211c7662e163a3e3be0cc9f6a3e5f26160a1c298ad48aec8",
-    ("k", 2): "6e5d1e9679c3b115c97a8185961516c192003dacce6c65aff21e68c063eff3f5",
-    ("k", 3): "967795f3650045e720c114341db25bc8b94177606628155de437b00eb684ad8e",
-    ("k", 4): "c455ebe140ebde77da7edc5d2669f109e85857939ed7743c93c216332c6db49e",
-    ("k", 8): "73545cc4c680fefc23e6b8e439587138e6ba64f420a0e2fd5cf2b0fff39a3cca",
-    ("k", 12): "3c895e03e416583e4db4708600b9d42352497f453b138f67d85a5c2f334280e2",
-    ("k", 13): "f6f7e334e9436799ad9493596bcd27fa90531bbeef6a727fbebd9d1e05874e33",
-    ("k", 20): "a47f5ede3745c2c66190bedc8c0fbd11cf57c3aaaf98168778286223e734f4ee",
-    ("gh", 5, 1): "752be0a9ef0b5ee1ae89a4b1ca4051cb9a13b94069ba8a325ad4d8df78dc7f22",
-    ("gh", 6, 2): "e4e3c0e87abfae58b045c90a6a52163f9af48a4810a887370ab309eed05a787a",
-    ("gh", 7, 3): "fd822633a7103bfff78371b124e0bb1e525f2578bfe0da272726bfb21fd41ef8",
-    ("gh", 8, 4): "0fef183ecedecbb56a7ab7796aafa4afa94de7b20688bfc53f41849eef512968",
+    ("k", 1): "98a0ad6261aed67f5b5ed0bdeb467146004eb1417d8ed887f871c3a3a1e615a0",
+    ("k", 2): "819b986ff67fd00ead59d5e90e9dd69ae5132918f6b27adf94589b5ebacc9eda",
+    ("k", 3): "0f324d835c3116d79af603bb2e9f555bea0f42038527b68363e949a89f388c8c",
+    ("k", 4): "3bb65eeaee5b3ab5dd34ec2e113771b23c379fd4c6be488b3f0a8d210c5ef9b6",
+    ("k", 8): "256f2a2acbb063b44fe7c3be344bf8bab2ced3c8b149deda5fc2bf1df2bd80ae",
+    ("k", 12): "37d962f7921e78212eee34b0b161967711009fca83448c24e85e208051444c4c",
+    ("k", 13): "e3250b4071a802d7b5442de7ef9c679528fc6dbb05b37cff3e90f8406b64320c",
+    ("k", 20): "68993a7584e4ae0691e642aaa4e7e6f2ddfe29c180a6e46732a18d24d2366ba9",
+    ("gh", 5, 1): "e1073f624c8c87e6a5fd79c6bd90db7f0b32a5314c9ccc5387fff642298f7d2b",
+    ("gh", 6, 2): "07bb24737bba8692f627d4bc8536e2e436f351fe86726bda9a4ac2caa84cd848",
+    ("gh", 7, 3): "4c7d5e1aaaa3f39e71ab6af7b0f23b9ca3e1fa5ed8f627eb38e40631810a0944",
+    ("gh", 8, 4): "5996cd636f441297a0533c1c54b47d92dfa5decfdbcdaee384263f7b4b220f78",
 }
 
 
@@ -598,12 +598,16 @@ def test_verify_pipeline_checks_the_minor_in_the_lift(work, capsys):
 def test_verify_pipeline_refuses_roots_outside_their_parts(work, capsys):
     plain, payload = k10_pipeline_payload(work, capsys)
     doc_file = work / "report.json"
-    for roots in ([99, 1, 2, 4, 6, 8], [0], [0, 1, 3, 2, 6, 8], [0, 1, 2, 4, 6, 8, 9]):
-        doc_file.write_text(rio.dumps(dict(payload, roots=roots)))
+    cases = [{"roots": roots} for roots in (
+        [99, 1, 2, 4, 6, 8], [0], [0, 1, 3, 2, 6, 8], [0, 1, 2, 4, 6, 8, 9]
+    )]
+    cases.append({"m_achieved": 0, "parts": [], "roots": []})
+    for changes in cases:
+        doc_file.write_text(rio.dumps(dict(payload, **changes)))
         code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
-        assert code == 2, roots
+        assert code == 2, changes
         assert doc["payload"] == {"code": "ParseError",
-                                  "message": "malformed pipeline document"}, roots
+                                  "message": "malformed pipeline document"}, changes
 
 
 def test_verify_pipeline_fails_a_part_that_repeats_a_vertex(work, capsys):
@@ -618,6 +622,8 @@ def test_verify_pipeline_fails_a_part_that_repeats_a_vertex(work, capsys):
         assert checks["parts_disjoint_nonempty"] is False and checks["all"] is False, part
 
 
+# values of the retired keys reserve_size, budget and from_witness that
+# verify once refused; documents that still carry them verify on the rest
 @pytest.mark.parametrize("changes", [
     {"reserve_size": -1},
     {"budget": {"projector": 0, "bogus": 7}},
@@ -625,17 +631,18 @@ def test_verify_pipeline_fails_a_part_that_repeats_a_vertex(work, capsys):
     {"budget": {"projector": True}},
     {"budget": {"connector": 1.5}},
     {"budget": {"connector": "1"}},
-    {"m_achieved": 0, "parts": [], "roots": []},
     {"reserve_size": 0, "budget": {"projector": 5, "connector": 9}},
 ], ids=["negative-reserve", "unknown-key", "negative-spend", "bool-spend",
-        "float-spend", "string-spend", "no-parts", "spend-above-reserve"])
-def test_verify_pipeline_refuses_a_bad_reserve_or_budget(work, capsys, changes):
+        "float-spend", "string-spend", "spend-above-reserve"])
+def test_verify_pipeline_ignores_the_retired_keys(work, capsys, changes):
     plain, payload = k10_pipeline_payload(work, capsys)
+    retired = {"reserve_size": 0, "budget": {"projector": 0, "connector": 0},
+               "from_witness": False}
     doc_file = work / "report.json"
-    doc_file.write_text(rio.dumps(dict(payload, **changes)))
+    doc_file.write_text(rio.dumps({**payload, **retired, **changes}))
     code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
-    assert code == 2
-    assert doc["payload"] == {"code": "ParseError", "message": "malformed pipeline document"}
+    assert code == 0
+    assert doc["payload"]["checks"]["all"] is True
 
 
 def test_verify_tk_roundtrip_and_tamper(work, capsys):
@@ -694,14 +701,14 @@ def test_verify_tk_roundtrip_and_tamper(work, capsys):
     assert doc["payload"]["code"] == "ParseError"
 
 
-def one_document(argv, codes=(0, 2, 3, 4)):
-    """Run main(argv) and check that it exits with one of codes (never 5,
+def one_document(argv):
+    """Run main(argv) and check that it exits with 0, 2 or 3 (never 5,
     Internal) with exactly one strict-JSON object on stdout."""
     out = StringIO()
     with redirect_stdout(out), redirect_stderr(StringIO()):
         code = main(argv)
     stdout = out.getvalue()
-    assert code in codes, (argv, stdout)
+    assert code in (0, 2, 3), (argv, stdout)
     assert stdout.endswith("\n") and "\n" not in stdout[:-1], stdout
     assert isinstance(strict_json(stdout), dict)
 
@@ -810,8 +817,7 @@ def test_bound_answers_any_n_with_one_document(n):
        st.integers(-2, 2) | st.sampled_from([MAX_TRIALS + 1, 10**6, 10**18, -(10**18)]),
        st.integers(-2, 2) | st.sampled_from([2**64, -(2**64), 10**30]))
 def test_experiment_answers_any_n_and_trials_with_one_document(n, trials, seed):
-    one_document(["experiment", "--n", str(n), "--trials", str(trials), "--seed", str(seed)],
-                 codes=(0, 2, 3))
+    one_document(["experiment", "--n", str(n), "--trials", str(trials), "--seed", str(seed)])
 
 
 def test_argparse_rejects_unknown_usage():
@@ -821,6 +827,8 @@ def test_argparse_rejects_unknown_usage():
         main(["no-such-command"])
     with pytest.raises(SystemExit):
         main(["oracle", "no-such-kind", "x.txt"])
+    with pytest.raises(SystemExit):
+        main(["pipeline", "x.txt", "--epsilon", "0.25"])
 
 
 def test_installed_console_script(work):

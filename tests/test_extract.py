@@ -284,7 +284,6 @@ def test_pipeline_on_complete_host():
     checks = validate_pipeline_report(g, report)
     assert checks["all"], checks
     assert report.m_achieved == 5
-    assert report.reserve_size == 0
     rebuilt = report.model(g)
     rebuilt.validate()
 
@@ -323,12 +322,21 @@ def test_pipeline_on_subdivision_host():
     assert report.m_achieved >= 1
 
 
-def test_pipeline_epsilon_validation():
+def test_pipeline_epsilon_validation(monkeypatch):
     g = Graph.complete(5)
     model = MinorModel.create(g, [(v,) for v in range(5)])
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             bipartite_minor_pipeline(g, model, bad)
+    # epsilon is only range-checked: one host per plan tier gets the same
+    # report at every epsilon
+    seen = count_plan_tiers(monkeypatch)
+    for host in (lambda: gh_model(random_graph(7, 0.3, 3)), partial(singleton_clique, 11),
+                 partial(singleton_clique, 18)):
+        g, model = host()
+        first, *rest = (bipartite_minor_pipeline(g, model, e) for e in (0.1, 0.25, 0.4, 0.6))
+        assert all(report == first for report in rest)
+    assert seen == {"scan": 4, "descent": 4, "greedy": 4}, seen
 
 
 def test_pipeline_report_fields():
@@ -337,8 +345,6 @@ def test_pipeline_report_fields():
     report = bipartite_minor_pipeline(g, model, 0.25)
     assert len(report.parts) == report.m_achieved
     assert len(report.roots) == report.m_achieved
-    assert set(report.budget()) == {"projector", "connector"}
-    assert all(v >= 0 for v in report.budget().values())
     for i, part in enumerate(report.parts):
         assert report.roots[i] in part
     covered = {v for p in report.parts for v in p}
@@ -354,9 +360,6 @@ def report_digest(report):
         report.roots,
         report.lift_edges,
         sorted(report.partition_witness.side.items()),
-        report.reserve_size,
-        report.budget_used,
-        report.from_witness,
     )
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
@@ -382,23 +385,23 @@ def two_vertex_part_host(k, red_pairs):
     )
 
 
-# (host builder, epsilon, plan tier that must run, m_achieved, SHA-256 of
-# the whole report).  The ids name the repair branch each host exercised
+# (host builder, plan tier that must run, m_achieved, SHA-256 of the
+# whole report).  The ids name the repair branch each host exercised
 # while the pipeline repaired scattered parts from a reserve.
 REPAIR_CASES = [
     pytest.param(
-        lambda: gh_model(random_graph(7, 0.3, 3)), 0.25, "scan", 5,
-        "f6dc50636269673012a01fc81634ec18f52ee7b15a907513ccf01da41eae499b",
+        lambda: gh_model(random_graph(7, 0.3, 3)), "scan", 5,
+        "6e673c6ae5a2d58e79cda643f924d1dfdee4f2e6d1506a2617a5ab8c1a698a2a",
         id="projector",
     ),
     pytest.param(
-        lambda: gh_model(random_graph(9, 0.3, 18)), 0.25, "scan", 6,
-        "1ecbd165e64d7f786d8404a6b78ad24b275b8e0e80a33bec08291e29a475fa3d",
+        lambda: gh_model(random_graph(9, 0.3, 18)), "scan", 6,
+        "d8b5595d598ffdcd5971b0b49eda90054fca3b619377e017a0ae5d17ef5199b3",
         id="connector",
     ),
     pytest.param(
-        lambda: gh_model(random_graph(7, 0.3, 11)), 0.25, "scan", 5,
-        "60d8587182e6b53e42a0419de69b53ad2ce37e036bc5c9f3da10e3690a171069",
+        lambda: gh_model(random_graph(7, 0.3, 11)), "scan", 5,
+        "169adb10771678a6073489ca76789fa9a77b59798b267ce7f5b2544a719f7375",
         id="witness-beaten",
     ),
     # the one input of about 480,000 searched where a repair pool's
@@ -408,21 +411,21 @@ REPAIR_CASES = [
             (0, 1), (1, 5), (2, 4), (2, 5), (2, 7), (2, 9), (3, 8), (3, 9),
             (4, 5), (4, 10), (5, 6),
         }),
-        0.4, "descent", 7,
-        "6503297a256bec0e61e5a78a02ab7232ac79b0231d1709ce15862957fdc472d2",
+        "descent", 7,
+        "98418094c2517456ae32a8bc5f892ae72cce0235b56883142907854ad67b3cd5",
         id="witness-wins",
     ),
     pytest.param(
-        lambda: gh_model(random_graph(9, 0.3, 0)), 0.1, "scan", 6,
-        "eeb82046a69720ab3e8f0524e6108d1fa852e0e63584e0bfff1922917d084ee5",
+        lambda: gh_model(random_graph(9, 0.3, 0)), "scan", 6,
+        "133387c9a41101cb826fb2006428e2fabbc2b89e86dc067ed6c85261e45f9f6a",
         id="pool-exhausted",
     ),
     # K_18 has 18 parts, above EXACT_PARTITION_CAP, so the greedy plan
     # runs; its parts are connected in h1 = K_{9,9}, and it reaches the
     # order bound 10
     pytest.param(
-        lambda: singleton_clique(18), 0.25, "greedy", 10,
-        "71cd25c8b7694ff594cf2f015e6e42a4e7f772f64f751220f80d586bd406602c",
+        lambda: singleton_clique(18), "greedy", 10,
+        "9f4243b0388fc858c6d7080054859d0bc75fdcc176408e994f2e248e18bd631e",
         id="greedy",
     ),
 ]
@@ -443,22 +446,19 @@ def count_plan_tiers(monkeypatch):
     return seen
 
 
-def checked_report(g, model, epsilon):
-    """The pipeline's report, checked, with no reserve spent."""
-    report = bipartite_minor_pipeline(g, model, epsilon)
+def checked_report(g, model):
+    """The pipeline's report, checked."""
+    report = bipartite_minor_pipeline(g, model)
     checks = validate_pipeline_report(g, report)
     assert checks["all"], checks
-    assert (report.reserve_size, report.budget(), report.from_witness) == (
-        0, {"projector": 0, "connector": 0}, False
-    )
     return report
 
 
-@pytest.mark.parametrize("host, epsilon, tier, m, digest", REPAIR_CASES)
-def test_pipeline_repair_paths(monkeypatch, host, epsilon, tier, m, digest):
+@pytest.mark.parametrize("host, tier, m, digest", REPAIR_CASES)
+def test_pipeline_repair_paths(monkeypatch, host, tier, m, digest):
     g, model = host()
     seen = count_plan_tiers(monkeypatch)
-    report = checked_report(g, model, epsilon)
+    report = checked_report(g, model)
     assert seen == {tier: 1}, seen
     assert report.m_achieved == m
     assert report_digest(report) == digest
@@ -466,24 +466,20 @@ def test_pipeline_repair_paths(monkeypatch, host, epsilon, tier, m, digest):
 
 def test_pipeline_reports_are_pinned(monkeypatch):
     # one digest over the report of every G(h) with h = G(n, p),
-    # n = 3..12, p = 0.3 / 0.5 / 0.7 and seeds 0..7, and of K_1..K_20,
-    # each at four epsilons: the pipeline layer of the outputs corpus, with
-    # the plan tiers it runs counted and every report checked
+    # n = 3..12, p = 0.3 / 0.5 / 0.7 and seeds 0..7, and of K_1..K_20:
+    # the pipeline layer of the outputs corpus, with the plan tiers it
+    # runs counted and every report checked
     seen = count_plan_tiers(monkeypatch)
     hosts = [
         lambda n=n, p=p, s=s: gh_model(random_graph(n, p, s))
         for n in range(3, 13) for p in (0.3, 0.5, 0.7) for s in range(8)
     ]
     hosts += [partial(singleton_clique, n) for n in range(1, 21)]
-    records = [
-        report_digest(checked_report(*host(), epsilon))
-        for host in hosts
-        for epsilon in (0.1, 0.25, 0.4, 0.6)
-    ]
-    assert len(records) == 1040
-    assert seen == {"scan": 708, "descent": 300, "greedy": 32}, seen
+    records = [report_digest(checked_report(*host())) for host in hosts]
+    assert len(records) == 260
+    assert seen == {"scan": 177, "descent": 75, "greedy": 8}, seen
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "dfca45e26bf93c72cfba4855b61870d6eb7d7c042160e857321fafa81f0372c6"
+    assert digest == "032dd0e32938984d9c12f16d0348c01eb465422290ef8e255eb6ed8bb95be8c7"
 
 
 # Reports on K_n above the exact cap.  Every model check runs on the host
@@ -491,19 +487,18 @@ def test_pipeline_reports_are_pinned(monkeypatch):
 # O(n^2 * E).  m is floor(n / 2) + 1, the order bound of h1, the optimum.
 @pytest.mark.parametrize("n, m, digest", [
     pytest.param(n, m, digest, id=str(n)) for n, m, digest in [
-        (24, 13, "2a6659321253d74f94ef84f44851eeab1c018491eadaff4004af80e7e77bc6f4"),
-        (32, 17, "fce688c02121763a4a2496e934300c7254910693be08edd7af064786a292a08d"),
-        (64, 33, "6a0d51ef808e5972968e7370534138b6d1f18771d3ce11f1b6b1427ed6685700"),
+        (24, 13, "17088c207409e60ff3703b0df190f79ea73bd965a404acf0552178729e0b4753"),
+        (32, 17, "175519b4e4f811faeec162ccd5e0a745d324baa32f0b9311ce2a129454b6effa"),
+        (64, 33, "25d5541db42b6f97810047fc98771e7ed32175057fbb49bf0f81de8065ee4bb4"),
     ]
 ])
 def test_pipeline_reports_on_large_cliques(n, m, digest):
-    report = checked_report(*singleton_clique(n), 0.25)
+    report = checked_report(*singleton_clique(n))
     assert report.m_achieved == m
     assert report_digest(report) == digest
 
 
-# m_achieved on G(h), h = G(n, 0.5) with seeds 0, 1, 2, at epsilon = 0.25:
-# every n here has more than EXACT_PARTITION_CAP auxiliary vertices
+# m_achieved on G(h), h = G(n, 0.5) with seeds 0, 1, 2: every n here has more than EXACT_PARTITION_CAP auxiliary vertices
 GH_ABOVE_CAP = {
     18: (10, 11, 10), 19: (10, 10, 11), 20: (11, 11, 10), 21: (12, 13, 13),
     22: (13, 13, 12), 23: (12, 12, 12), 24: (13, 14, 13), 25: (14, 14, 13),
@@ -518,12 +513,12 @@ def test_pipeline_reaches_the_order_bound_on_cliques():
     # the order bound of h1 = K_{ceil(n/2), floor(n/2)}, the bipartite
     # Hadwiger number of K_n
     for n in range(2, 65):
-        assert checked_report(*singleton_clique(n), 0.25).m_achieved == n // 2 + 1, n
+        assert checked_report(*singleton_clique(n)).m_achieved == n // 2 + 1, n
     for n, floor in GH_PROTOTYPE.items():
         assert all(a >= b for a, b in zip(GH_ABOVE_CAP[n], floor)), n
     achieved = {
         n: tuple(
-            checked_report(*gh_model(random_graph(n, 0.5, s)), 0.25).m_achieved
+            checked_report(*gh_model(random_graph(n, 0.5, s))).m_achieved
             for s in range(3)
         )
         for n in GH_ABOVE_CAP
@@ -531,7 +526,7 @@ def test_pipeline_reaches_the_order_bound_on_cliques():
     assert achieved == GH_ABOVE_CAP
 
 
-# (pipeline m at epsilon 0.25, gh_max_bipartite_hadwiger) on G(h) with
+# (pipeline m, gh_max_bipartite_hadwiger) on G(h) with
 # h = G(n, p) and seeds 0..7, one digit per seed
 FRONTIER = {
     (3, 0.3): ("32223322", "32223322"),
@@ -573,7 +568,7 @@ def test_pipeline_frontier_against_the_optimum():
         ms = opts = ""
         for s in range(8):
             h = random_graph(n, p, s)
-            report = checked_report(*gh_model(h), 0.25)
+            report = checked_report(*gh_model(h))
             opt, _ = gh_max_bipartite_hadwiger(h)
             assert report.m_achieved == opt if n <= extract.SCAN_CAP else report.m_achieved <= opt
             ms += str(report.m_achieved)
