@@ -601,7 +601,6 @@ def test_verify_pipeline_refuses_roots_outside_their_parts(work, capsys):
     cases = [{"roots": roots} for roots in (
         [99, 1, 2, 4, 6, 8], [0], [0, 1, 3, 2, 6, 8], [0, 1, 2, 4, 6, 8, 9]
     )]
-    cases.append({"m_achieved": 0, "parts": [], "roots": []})
     for changes in cases:
         doc_file.write_text(rio.dumps(dict(payload, **changes)))
         code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
@@ -620,6 +619,20 @@ def test_verify_pipeline_fails_a_part_that_repeats_a_vertex(work, capsys):
         assert code == 2, part
         checks = doc["payload"]["checks"]
         assert checks["parts_disjoint_nonempty"] is False and checks["all"] is False, part
+
+
+# a document without parts is refused whatever else it carries; the name
+# dates from when its neighbours checked reserve_size and budget
+@pytest.mark.parametrize("changes", [
+    {"m_achieved": 0, "parts": [], "roots": []},
+], ids=["no-parts"])
+def test_verify_pipeline_refuses_a_bad_reserve_or_budget(work, capsys, changes):
+    plain, payload = k10_pipeline_payload(work, capsys)
+    doc_file = work / "report.json"
+    doc_file.write_text(rio.dumps(dict(payload, **changes)))
+    code, doc = run(capsys, "verify", "pipeline", str(doc_file), "--graph", str(plain))
+    assert code == 2
+    assert doc["payload"] == {"code": "ParseError", "message": "malformed pipeline document"}
 
 
 # values of the retired keys reserve_size, budget and from_witness that
